@@ -1,14 +1,18 @@
 // Microbenchmarks (google-benchmark): the primitive operations whose costs
 // compose into the paper's Table 2 — count-signature updates, bucket
 // classification, per-update sketch maintenance (basic vs tracking), top-k
-// queries, and heap operations.
+// queries, and heap operations — plus the sketch-delta codec that ships
+// them (CRC-32, and one serialize -> frame -> decode -> deserialize hop).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/random.hpp"
 #include "distributed/concurrent_monitor.hpp"
+#include "common/serialize.hpp"
 #include "net/exporter.hpp"
+#include "service/wire.hpp"
 #include "sketch/count_signature.hpp"
 #include "sketch/sliding_window.hpp"
 #include "sketch/distinct_count_sketch.hpp"
@@ -291,6 +295,59 @@ void BM_TrackingMergeRebuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TrackingMergeRebuild)->Args({3, 64})->Args({3, 256});
+
+void BM_Crc32(benchmark::State& state) {
+  // The checksum every frame, blob footer and journal record runs: 4 MiB,
+  // about one paper-sized sketch delta. Reports bytes/s.
+  const std::string bytes(4u << 20, '\x5a');
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32(bytes.data(), bytes.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+void BM_DeltaCodecRoundTrip(benchmark::State& state) {
+  // One hop of the delta path for one paper-sized epoch (the paper's 6.1
+  // Zipf workload, 131072 updates over 50k destinations, default
+  // parameters: a ~3.4 MB blob): serialize the agent's epoch sketch, frame
+  // it, decode the frame at the collector and deserialize the blob.
+  // Reports blob bytes/s.
+  ZipfWorkloadConfig config;
+  config.u_pairs = 131'072;
+  config.num_destinations = 50'000;
+  config.skew = 1.5;
+  config.seed = 31;
+  const ZipfWorkload workload(config);
+  DistinctCountSketch sketch(DcsParams{});
+  for (const auto& u : workload.updates())
+    sketch.update(u.dest, u.source, u.delta);
+  std::size_t blob_bytes = 0;
+  for (auto _ : state) {
+    std::string blob;
+    blob.reserve(sketch.serialized_size());
+    BinaryWriter writer(blob);
+    sketch.serialize(writer);
+    blob_bytes = blob.size();
+    service::SnapshotDeltaView delta;
+    delta.site_id = 1;
+    delta.epoch = 1;
+    delta.sketch_blob = blob;
+    const std::string frame = delta.encode_frame();
+    service::FrameDecoder decoder;
+    decoder.feed(frame.data(), frame.size());
+    const auto view = decoder.next_view();
+    BinaryReader reader(
+        service::SnapshotDeltaView::decode(view->payload).sketch_blob);
+    benchmark::DoNotOptimize(DistinctCountSketch::deserialize(reader));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blob_bytes));
+}
+BENCHMARK(BM_DeltaCodecRoundTrip)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

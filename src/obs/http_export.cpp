@@ -151,8 +151,10 @@ void HttpServer::start() {
 
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
-  listener_.close();  // wakes the accept loop's next poll
+  // The accept loop sees running_ within one 100 ms poll. Close only after
+  // the join, so the fd is never closed while that thread polls it.
   if (thread_.joinable()) thread_.join();
+  listener_.close();
 }
 
 void HttpServer::serve_loop() {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -15,11 +15,13 @@ namespace dcs::service {
 
 namespace {
 
-std::string serialize_sketch(const DistinctCountSketch& sketch) {
-  std::ostringstream out(std::ios::binary);
-  BinaryWriter writer(out);
+std::shared_ptr<const std::string> serialize_sketch(
+    const DistinctCountSketch& sketch) {
+  std::string blob;
+  blob.reserve(sketch.serialized_size());
+  BinaryWriter writer(blob);
   sketch.serialize(writer);
-  return std::move(out).str();
+  return std::make_shared<const std::string>(std::move(blob));
 }
 
 }  // namespace
@@ -328,7 +330,8 @@ bool SiteAgent::run_connection() {
 
     while (running_.load(std::memory_order_acquire)) {
       // Peek (don't pop) the oldest spooled epoch: it stays queued until
-      // the collector acks it, so a drop mid-flight retransmits.
+      // the collector acks it, so a drop mid-flight retransmits. The copy
+      // shares the immutable blob, so no bytes move under the lock.
       std::optional<SpooledEpoch> head;
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -370,7 +373,7 @@ bool SiteAgent::run_connection() {
         head = spool_.front();
       }
 
-      SnapshotDelta delta;
+      SnapshotDeltaView delta;
       delta.site_id = config_.site_id;
       delta.epoch = head->epoch;
       delta.updates = head->updates;
@@ -378,7 +381,7 @@ bool SiteAgent::run_connection() {
       delta.seal_steady_ns = head->seal_steady_ns;
       delta.spool_unix_ns = head->spool_unix_ns;
       delta.ship_unix_ns = obs::unix_now_ns();  // fresh per send attempt
-      delta.sketch_blob = head->blob;
+      delta.sketch_blob = *head->blob;
       // Speak the collector's dialect: a v2 peer gets a v2 payload (no
       // timestamps) in a v2 frame.
       const std::uint8_t wire_version =
@@ -387,9 +390,7 @@ bool SiteAgent::run_connection() {
         obs::TraceMetrics::get().observe_span(obs::TraceStage::kShipped,
                                               delta.spool_unix_ns,
                                               delta.ship_unix_ns);
-      if (!socket->send_all(encode_frame(MsgType::kSnapshotDelta,
-                                         delta.encode(wire_version),
-                                         wire_version)))
+      if (!socket->send_all(delta.encode_frame(wire_version)))
         return io_error();
       const auto ack = await_ack();
       if (!ack) return io_error();

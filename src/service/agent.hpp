@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -144,7 +145,9 @@ class SiteAgent {
     std::uint64_t seal_unix_ns = 0;
     std::uint64_t seal_steady_ns = 0;
     std::uint64_t spool_unix_ns = 0;
-    std::string blob;  ///< Serialized sketch delta.
+    /// Serialized sketch delta, shared and never mutated: peeking the
+    /// spool head copies a pointer, not the blob.
+    std::shared_ptr<const std::string> blob;
   };
 
   void sender_loop();

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -56,13 +55,14 @@ std::string CheckpointStore::encode(const CheckpointState& state) {
   // The sketch and detector carry their own header + CRC footer; embed them
   // as length-prefixed blobs so the outer footer's running CRC covers the
   // whole container without being reset by their serializers.
-  std::ostringstream sketch_out(std::ios::binary);
+  std::string sketch_blob;
+  sketch_blob.reserve(state.sketch.serialized_size());
   {
-    BinaryWriter sketch_writer(sketch_out);
+    BinaryWriter sketch_writer(sketch_blob);
     state.sketch.serialize(sketch_writer);
   }
 
-  std::ostringstream out(std::ios::binary);
+  std::string out;
   BinaryWriter writer(out);
   writer.crc_reset();
   write_header(writer, kCheckpointMagic, kCheckpointVersion);
@@ -81,14 +81,13 @@ std::string CheckpointStore::encode(const CheckpointState& state) {
     writer.u64(site.duplicate_deltas);
   }
   writer.str(state.detector_blob);
-  writer.str(std::move(sketch_out).str());
+  writer.str(sketch_blob);
   write_crc_footer(writer);
-  return std::move(out).str();
+  return out;
 }
 
 CheckpointState CheckpointStore::decode(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  BinaryReader reader(in);
+  BinaryReader reader(bytes);
   reader.crc_reset();
   read_header(reader, kCheckpointMagic, kCheckpointVersion);
   CheckpointState state;
@@ -113,16 +112,15 @@ CheckpointState CheckpointStore::decode(const std::string& bytes) {
     state.sites.push_back(site);
   }
   state.detector_blob = reader.str();
-  const std::string sketch_blob = reader.str();
+  const std::string_view sketch_blob = reader.str_view();
   // Verify the container footer BEFORE interpreting the nested blobs, so a
   // bit flip anywhere is caught by exactly one check and nothing corrupt is
   // ever handed to the sketch deserializer.
   read_crc_footer(reader);
-  if (in.peek() != std::char_traits<char>::eof())
+  if (reader.remaining() != 0)
     throw SerializeError("CheckpointState: trailing bytes");
 
-  std::istringstream sketch_in(sketch_blob, std::ios::binary);
-  BinaryReader sketch_reader(sketch_in);
+  BinaryReader sketch_reader(sketch_blob);
   state.sketch = DistinctCountSketch::deserialize(sketch_reader);
   return state;
 }

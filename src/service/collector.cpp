@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,9 +14,8 @@ namespace dcs::service {
 
 namespace {
 
-DistinctCountSketch decode_sketch_blob(const std::string& blob) {
-  std::istringstream in(blob, std::ios::binary);
-  BinaryReader reader(in);
+DistinctCountSketch decode_sketch_blob(std::string_view blob) {
+  BinaryReader reader(blob);
   return DistinctCountSketch::deserialize(reader);
 }
 
@@ -46,7 +44,7 @@ class Collector::ReactorSink : public FrameHandler {
   explicit ReactorSink(Collector& collector) : collector_(collector) {}
 
   std::string on_frame(PeerState& peer, MsgType type, std::uint8_t version,
-                       const std::string& payload) override {
+                       std::string_view payload) override {
     if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
     {
       std::lock_guard<std::mutex> lock(collector_.state_mutex_);
@@ -240,7 +238,7 @@ void Collector::serve(std::shared_ptr<Connection> conn) {
       }
       conn->decoder.feed(buffer, got.bytes);
       try {
-        while (auto frame = conn->decoder.next()) {
+        while (auto frame = conn->decoder.next_view()) {
           if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
           {
             std::lock_guard<std::mutex> lock(state_mutex_);
@@ -306,7 +304,7 @@ void Collector::note_disconnect(const PeerState& peer) {
 
 std::string Collector::handle_frame(PeerState& peer, MsgType type,
                                     std::uint8_t version,
-                                    const std::string& payload) {
+                                    std::string_view payload) {
   switch (type) {
     case MsgType::kHello: {
       const Hello hello = Hello::decode(payload, version);
@@ -412,8 +410,10 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
 }
 
 std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
-                                    const std::string& payload) {
-  const SnapshotDelta delta = SnapshotDelta::decode(payload, version);
+                                    std::string_view payload) {
+  // The blob stays a view into the frame payload: deserialize, tap and
+  // journal all read it in place.
+  const SnapshotDeltaView delta = SnapshotDeltaView::decode(payload, version);
   if (!peer.hello_ok) throw WireError("collector: delta before Hello");
   // A leaf uplink relays deltas for every site its shard owns: the delta
   // carries the *origin* site id, which legitimately differs from the
@@ -563,9 +563,8 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
   if (store_) {
     try {
       std::uint64_t fsync_ns = 0;
-      journal_.append({delta.site_id, delta.epoch, delta.updates,
-                       delta.sketch_blob},
-                      &fsync_ns);
+      journal_.append(delta.site_id, delta.epoch, delta.updates,
+                      delta.sketch_blob, &fsync_ns);
       ++totals_.journal_records;
       if (obs::recording()) {
         obs::CheckpointMetrics::get().journal_records.inc();
@@ -781,8 +780,7 @@ void Collector::recover() {
       sites_[watermark.site_id] = site;
     }
     if (!loaded->detector_blob.empty()) {
-      std::istringstream in(loaded->detector_blob, std::ios::binary);
-      BinaryReader reader(in);
+      BinaryReader reader(loaded->detector_blob);
       detector_ = BaselineDetector::deserialize(reader, config_.detection);
     }
     restored = true;
@@ -863,10 +861,8 @@ CheckpointState Collector::build_checkpoint_state_locked() const {
   state.dropped_epochs = totals_.dropped_epochs;
   state.byes = totals_.byes;
   if (config_.run_detection) {
-    std::ostringstream out(std::ios::binary);
-    BinaryWriter writer(out);
+    BinaryWriter writer(state.detector_blob);
     detector_.serialize(writer);
-    state.detector_blob = std::move(out).str();
   }
   return state;
 }

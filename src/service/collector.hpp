@@ -43,6 +43,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -152,7 +153,7 @@ struct CollectorConfig {
   /// delta with an honest kRetryLater NACK — uplink backpressure
   /// propagates to the agent's spool instead of dropping relays.
   std::function<bool(std::uint64_t site_id, std::uint64_t epoch,
-                     std::uint64_t updates, const std::string& sketch_blob,
+                     std::uint64_t updates, std::string_view sketch_blob,
                      bool replay)>
       delta_tap;
   /// retry_after_ms hint on a tap shed (uplink spool full).
@@ -328,9 +329,9 @@ class Collector {
   /// Takes the transport-agnostic PeerState so the threaded loop and the
   /// reactor drive the identical protocol logic.
   std::string handle_frame(PeerState& peer, MsgType type,
-                           std::uint8_t version, const std::string& payload);
+                           std::uint8_t version, std::string_view payload);
   std::string handle_delta(PeerState& peer, std::uint8_t version,
-                           const std::string& payload);
+                           std::string_view payload);
   /// serve()/reactor common exit path: mark the peer's site disconnected.
   void note_disconnect(const PeerState& peer);
 

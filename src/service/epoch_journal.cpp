@@ -80,24 +80,23 @@ void EpochJournal::close() {
   }
 }
 
-void EpochJournal::append(const Record& record, std::uint64_t* fsync_ns) {
+void EpochJournal::append(std::uint64_t site_id, std::uint64_t epoch,
+                          std::uint64_t updates, std::string_view sketch_blob,
+                          std::uint64_t* fsync_ns) {
   if (fd_ < 0) throw std::runtime_error("EpochJournal: append on closed journal");
 
-  std::string payload;
-  payload.reserve(3 * 8 + 8 + record.sketch_blob.size());
-  put_u64(payload, record.site_id);
-  put_u64(payload, record.epoch);
-  put_u64(payload, record.updates);
-  put_u64(payload, record.sketch_blob.size());
-  payload.append(record.sketch_blob);
-  if (payload.size() > kMaxJournalPayloadBytes)
+  const std::size_t payload_bytes = 3 * 8 + 8 + sketch_blob.size();
+  if (payload_bytes > kMaxJournalPayloadBytes)
     throw std::runtime_error("EpochJournal: record exceeds payload cap");
-
   std::string framed;
-  framed.reserve(kRecordHeaderBytes + payload.size() + kRecordCrcBytes);
+  framed.reserve(kRecordHeaderBytes + payload_bytes + kRecordCrcBytes);
   put_u32(framed, kJournalMagic);
-  put_u32(framed, static_cast<std::uint32_t>(payload.size()));
-  framed.append(payload);
+  put_u32(framed, static_cast<std::uint32_t>(payload_bytes));
+  put_u64(framed, site_id);
+  put_u64(framed, epoch);
+  put_u64(framed, updates);
+  put_u64(framed, sketch_blob.size());
+  framed.append(sketch_blob);
   // CRC covers the length prefix and payload (magic is checked by equality).
   put_u32(framed, crc32(framed.data() + 4, framed.size() - 4));
 

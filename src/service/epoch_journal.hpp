@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dcs::service {
@@ -74,7 +75,15 @@ class EpochJournal {
   /// std::runtime_error if the write or fsync fails — the caller must NOT
   /// ack the delta in that case. If `fsync_ns` is non-null it receives the
   /// fsync duration.
-  void append(const Record& record, std::uint64_t* fsync_ns = nullptr);
+  void append(const Record& record, std::uint64_t* fsync_ns = nullptr) {
+    append(record.site_id, record.epoch, record.updates, record.sketch_blob,
+           fsync_ns);
+  }
+  /// append() of a record whose blob the caller holds elsewhere (the
+  /// collector journals straight from the frame payload).
+  void append(std::uint64_t site_id, std::uint64_t epoch,
+              std::uint64_t updates, std::string_view sketch_blob,
+              std::uint64_t* fsync_ns = nullptr);
 
   /// Parse the longest valid record prefix of the file at `path`. A missing
   /// file is an empty journal, not an error.

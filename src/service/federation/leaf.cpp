@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <utility>
 
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -47,8 +49,10 @@ void LeafUplink::stop(int drain_timeout_ms) {
 }
 
 bool LeafUplink::offer(std::uint64_t site_id, std::uint64_t epoch,
-                       std::uint64_t updates, const std::string& sketch_blob,
+                       std::uint64_t updates, std::string_view sketch_blob,
                        bool force) {
+  // Copied before locking so the sender thread never waits on the copy.
+  auto blob = std::make_shared<const std::string>(sketch_blob);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!force && spool_.size() >= config_.spool_deltas) {
@@ -57,7 +61,7 @@ bool LeafUplink::offer(std::uint64_t site_id, std::uint64_t epoch,
       ++stats_.shed_offers;
       return false;
     }
-    spool_.push_back({site_id, epoch, updates, sketch_blob});
+    spool_.push_back({site_id, epoch, updates, std::move(blob)});
     ++stats_.relayed;
     stats_.spool_depth = spool_.size();
     if (obs::recording()) {
@@ -216,17 +220,15 @@ bool LeafUplink::run_connection() {
         head = spool_.front();
       }
 
-      SnapshotDelta delta;
+      SnapshotDeltaView delta;
       delta.site_id = head->site_id;  // origin site, not the leaf id
       delta.epoch = head->epoch;
       delta.updates = head->updates;
       delta.ship_unix_ns = obs::unix_now_ns();
-      delta.sketch_blob = head->blob;
+      delta.sketch_blob = *head->blob;
       const std::uint8_t wire_version =
           peer_version < kWireVersion ? peer_version : kWireVersion;
-      if (!socket->send_all(encode_frame(MsgType::kSnapshotDelta,
-                                         delta.encode(wire_version),
-                                         wire_version)))
+      if (!socket->send_all(delta.encode_frame(wire_version)))
         return io_error();
       const auto ack = await_ack();
       if (!ack) return io_error();
@@ -289,7 +291,7 @@ CollectorConfig wire_leaf_collector(CollectorConfig config,
   // The tap and the gate are the two hooks that make a Collector a leaf:
   // every accepted delta is relayed, and the journal outlives the relays.
   config.delta_tap = [&uplink](std::uint64_t site_id, std::uint64_t epoch,
-                               std::uint64_t updates, const std::string& blob,
+                               std::uint64_t updates, std::string_view blob,
                                bool replay) {
     return uplink.offer(site_id, epoch, updates, blob, /*force=*/replay);
   };

@@ -31,8 +31,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/random.hpp"
@@ -98,9 +100,10 @@ class LeafUplink {
   /// Enqueue one delta for relay. Returns false — without enqueueing —
   /// when the spool is at capacity and `force` is false; the caller (the
   /// collector's delta tap) turns that into a kRetryLater NACK upstream.
-  /// `force` is for recovery replay, which must never shed.
+  /// `force` is for recovery replay, which must never shed. The blob is
+  /// copied once, into the spool.
   bool offer(std::uint64_t site_id, std::uint64_t epoch, std::uint64_t updates,
-             const std::string& sketch_blob, bool force);
+             std::string_view sketch_blob, bool force);
 
   /// Block until the spool drains (every relay root-acked) or timeout.
   bool flush(int timeout_ms);
@@ -116,7 +119,9 @@ class LeafUplink {
     std::uint64_t site_id = 0;
     std::uint64_t epoch = 0;
     std::uint64_t updates = 0;
-    std::string blob;
+    /// Shared and never mutated, like SiteAgent's spool: peeking the head
+    /// copies a pointer, not the blob.
+    std::shared_ptr<const std::string> blob;
   };
 
   void sender_loop();

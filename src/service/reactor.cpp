@@ -249,7 +249,7 @@ bool Reactor::read_ready(Worker& worker, Conn& conn) {
     }
     conn.decoder.feed(buffer, got.bytes);
     try {
-      while (auto frame = conn.decoder.next()) {
+      while (auto frame = conn.decoder.next_view()) {
         ++frames_this_wakeup;
         const std::string reply = handler_.on_frame(
             conn.peer, frame->type, frame->version, frame->payload);

@@ -82,7 +82,7 @@ class FrameHandler {
   /// (empty = no reply). Throwing WireError drops this peer only.
   virtual std::string on_frame(PeerState& peer, MsgType type,
                                std::uint8_t version,
-                               const std::string& payload) = 0;
+                               std::string_view payload) = 0;
   /// The connection is going away (peer close, error, deadline, idle reap,
   /// or reactor shutdown). Called exactly once per connection, on the
   /// worker that owned it (or the stopping thread during shutdown).

@@ -1,7 +1,6 @@
 #include "service/wire.hpp"
 
 #include <cstring>
-#include <sstream>
 
 namespace dcs::service {
 
@@ -24,80 +23,115 @@ std::uint32_t get_u32(const char* data) {
   return v;
 }
 
-/// Encode a payload struct through a BinaryWriter-over-string.
+/// Encode a payload struct straight into a string.
 template <typename Fn>
 std::string encode_payload(Fn&& write_fields) {
-  std::ostringstream out(std::ios::binary);
+  std::string out;
   BinaryWriter writer(out);
   write_fields(writer);
-  return std::move(out).str();
+  return out;
 }
 
 /// Decode a payload; any reader underflow or trailing garbage is a
 /// WireError (payload lengths are exact by construction).
 template <typename Fn>
-void decode_payload(const std::string& payload, Fn&& read_fields) {
-  std::istringstream in(payload, std::ios::binary);
-  BinaryReader reader(in);
+void decode_payload(std::string_view payload, Fn&& read_fields) {
+  BinaryReader reader(payload);
   try {
     read_fields(reader);
   } catch (const SerializeError& error) {
     throw WireError(std::string("malformed payload: ") + error.what());
   }
-  if (in.peek() != std::char_traits<char>::eof())
+  if (reader.remaining() != 0)
     throw WireError("malformed payload: trailing bytes");
+}
+
+/// Build one frame in a single buffer: header, the payload write_payload
+/// appends (about `payload_hint` bytes, to size the buffer once), CRC.
+template <typename Fn>
+std::string build_frame(MsgType type, std::uint8_t version,
+                        std::size_t payload_hint, Fn&& write_payload) {
+  if (version < kMinWireVersion || version > kWireVersion)
+    throw WireError("encode_frame: version outside supported range");
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload_hint + kFrameCrcBytes);
+  put_u32(frame, kWireMagic);
+  frame.push_back(static_cast<char>(version));
+  frame.push_back(static_cast<char>(type));
+  put_u32(frame, 0);  // payload length, patched below
+  write_payload(frame);
+  const std::size_t payload_bytes = frame.size() - kFrameHeaderBytes;
+  if (payload_bytes > kMaxPayloadBytes)
+    throw WireError("encode_frame: payload exceeds kMaxPayloadBytes");
+  const auto length = static_cast<std::uint32_t>(payload_bytes);
+  std::memcpy(frame.data() + 6, &length, sizeof length);
+  // CRC covers everything after the magic: version, type, length, payload.
+  put_u32(frame, crc32(frame.data() + 4, frame.size() - 4));
+  return frame;
+}
+
+template <typename Blob>
+void write_delta(BinaryWriter& w, const BasicSnapshotDelta<Blob>& delta,
+                 std::uint8_t version) {
+  w.u64(delta.site_id);
+  w.u64(delta.epoch);
+  w.u64(delta.updates);
+  if (version >= 3) {
+    w.u64(delta.seal_unix_ns);
+    w.u64(delta.seal_steady_ns);
+    w.u64(delta.spool_unix_ns);
+    w.u64(delta.ship_unix_ns);
+  }
+  w.str(delta.sketch_blob);
 }
 
 }  // namespace
 
 std::string encode_frame(MsgType type, std::string_view payload,
                          std::uint8_t version) {
-  if (payload.size() > kMaxPayloadBytes)
-    throw WireError("encode_frame: payload exceeds kMaxPayloadBytes");
-  if (version < kMinWireVersion || version > kWireVersion)
-    throw WireError("encode_frame: version outside supported range");
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
-  put_u32(frame, kWireMagic);
-  frame.push_back(static_cast<char>(version));
-  frame.push_back(static_cast<char>(type));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.append(payload);
-  // CRC covers everything after the magic: version, type, length, payload.
-  put_u32(frame, crc32(frame.data() + 4, frame.size() - 4));
-  return frame;
+  return build_frame(type, version, payload.size(),
+                     [&](std::string& frame) { frame.append(payload); });
 }
 
 void FrameDecoder::feed(const char* data, std::size_t size) {
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
   buffer_.append(data, size);
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  if (buffer_.size() < kFrameHeaderBytes) return std::nullopt;
-  if (get_u32(buffer_.data()) != kWireMagic)
-    throw WireError("frame: bad magic");
-  const auto version = static_cast<std::uint8_t>(buffer_[4]);
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  Frame frame;
+  frame.type = view->type;
+  frame.version = view->version;
+  frame.payload = std::string(view->payload);
+  return frame;
+}
+
+std::optional<FrameView> FrameDecoder::next_view() {
+  const char* head = buffer_.data() + consumed_;
+  const std::size_t available = buffer_.size() - consumed_;
+  if (available < kFrameHeaderBytes) return std::nullopt;
+  if (get_u32(head) != kWireMagic) throw WireError("frame: bad magic");
+  const auto version = static_cast<std::uint8_t>(head[4]);
   if (version < kMinWireVersion || version > kWireVersion)
     throw WireError("frame: unsupported version");
-  const auto type = static_cast<std::uint8_t>(buffer_[5]);
+  const auto type = static_cast<std::uint8_t>(head[5]);
   if (!valid_type(type)) throw WireError("frame: unknown message type");
-  const std::uint32_t payload_len = get_u32(buffer_.data() + 6);
+  const std::uint32_t payload_len = get_u32(head + 6);
   if (payload_len > max_payload_)
     throw WireError("frame: oversized payload length");
   const std::size_t total =
       kFrameHeaderBytes + payload_len + kFrameCrcBytes;
-  if (buffer_.size() < total) return std::nullopt;
-  const std::uint32_t expected =
-      get_u32(buffer_.data() + kFrameHeaderBytes + payload_len);
+  if (available < total) return std::nullopt;
+  const std::uint32_t expected = get_u32(head + kFrameHeaderBytes + payload_len);
   const std::uint32_t computed =
-      crc32(buffer_.data() + 4, kFrameHeaderBytes - 4 + payload_len);
+      crc32(head + 4, kFrameHeaderBytes - 4 + payload_len);
   if (expected != computed) throw WireError("frame: CRC mismatch");
-  Frame frame;
-  frame.type = static_cast<MsgType>(type);
-  frame.version = version;
-  frame.payload = buffer_.substr(kFrameHeaderBytes, payload_len);
-  buffer_.erase(0, total);
-  return frame;
+  consumed_ += total;
+  return FrameView{static_cast<MsgType>(type), version,
+                   std::string_view(head + kFrameHeaderBytes, payload_len)};
 }
 
 std::string Hello::encode(std::uint8_t version) const {
@@ -114,7 +148,7 @@ std::string Hello::encode(std::uint8_t version) const {
   });
 }
 
-Hello Hello::decode(const std::string& payload, std::uint8_t version) {
+Hello Hello::decode(std::string_view payload, std::uint8_t version) {
   Hello hello;
   decode_payload(payload, [&](BinaryReader& r) {
     hello.site_id = r.u64();
@@ -133,24 +167,26 @@ Hello Hello::decode(const std::string& payload, std::uint8_t version) {
   return hello;
 }
 
-std::string SnapshotDelta::encode(std::uint8_t version) const {
-  return encode_payload([&](BinaryWriter& w) {
-    w.u64(site_id);
-    w.u64(epoch);
-    w.u64(updates);
-    if (version >= 3) {
-      w.u64(seal_unix_ns);
-      w.u64(seal_steady_ns);
-      w.u64(spool_unix_ns);
-      w.u64(ship_unix_ns);
-    }
-    w.str(sketch_blob);
-  });
+template <typename Blob>
+std::string BasicSnapshotDelta<Blob>::encode(std::uint8_t version) const {
+  return encode_payload(
+      [&](BinaryWriter& w) { write_delta(w, *this, version); });
 }
 
-SnapshotDelta SnapshotDelta::decode(const std::string& payload,
-                                    std::uint8_t version) {
-  SnapshotDelta delta;
+template <typename Blob>
+std::string BasicSnapshotDelta<Blob>::encode_frame(std::uint8_t version) const {
+  // The fixed fields add at most 64 bytes to the blob.
+  return build_frame(MsgType::kSnapshotDelta, version, sketch_blob.size() + 64,
+                     [&](std::string& frame) {
+                       BinaryWriter w(frame);
+                       write_delta(w, *this, version);
+                     });
+}
+
+template <typename Blob>
+BasicSnapshotDelta<Blob> BasicSnapshotDelta<Blob>::decode(
+    std::string_view payload, std::uint8_t version) {
+  BasicSnapshotDelta delta;
   decode_payload(payload, [&](BinaryReader& r) {
     delta.site_id = r.u64();
     delta.epoch = r.u64();
@@ -161,10 +197,13 @@ SnapshotDelta SnapshotDelta::decode(const std::string& payload,
       delta.spool_unix_ns = r.u64();
       delta.ship_unix_ns = r.u64();
     }
-    delta.sketch_blob = r.str();
+    delta.sketch_blob = Blob(r.str_view());
   });
   return delta;
 }
+
+template struct BasicSnapshotDelta<std::string>;
+template struct BasicSnapshotDelta<std::string_view>;
 
 std::string Heartbeat::encode() const {
   return encode_payload([&](BinaryWriter& w) {
@@ -175,7 +214,7 @@ std::string Heartbeat::encode() const {
   });
 }
 
-Heartbeat Heartbeat::decode(const std::string& payload) {
+Heartbeat Heartbeat::decode(std::string_view payload) {
   Heartbeat heartbeat;
   decode_payload(payload, [&](BinaryReader& r) {
     heartbeat.site_id = r.u64();
@@ -198,7 +237,7 @@ std::string Ack::encode(std::uint8_t version) const {
   });
 }
 
-Ack Ack::decode(const std::string& payload, std::uint8_t version) {
+Ack Ack::decode(std::string_view payload, std::uint8_t version) {
   Ack ack;
   decode_payload(payload, [&](BinaryReader& r) {
     ack.epoch = r.u64();
@@ -222,7 +261,7 @@ std::string Bye::encode() const {
   return encode_payload([&](BinaryWriter& w) { w.u64(site_id); });
 }
 
-Bye Bye::decode(const std::string& payload) {
+Bye Bye::decode(std::string_view payload) {
   Bye bye;
   decode_payload(payload, [&](BinaryReader& r) { bye.site_id = r.u64(); });
   return bye;

@@ -128,6 +128,14 @@ struct Frame {
   std::string payload;
 };
 
+/// A decoded frame whose payload still lives in the FrameDecoder's buffer.
+/// Valid until the next feed() or next*() call on that decoder.
+struct FrameView {
+  MsgType type = MsgType::kHello;
+  std::uint8_t version = kWireVersion;
+  std::string_view payload;
+};
+
 /// Assemble one frame (header + payload + CRC) ready to send. `version`
 /// must be in [kMinWireVersion, kWireVersion]; pass the negotiated peer
 /// version when answering a downlevel site.
@@ -142,9 +150,12 @@ class FrameDecoder {
  public:
   void feed(const char* data, std::size_t size);
   std::optional<Frame> next();
+  /// next() without copying the payload out: the collector's receive path
+  /// decodes multi-MiB deltas straight from the stream buffer.
+  std::optional<FrameView> next_view();
 
   /// Bytes buffered but not yet consumed (diagnostics).
-  std::size_t buffered() const noexcept { return buffer_.size(); }
+  std::size_t buffered() const noexcept { return buffer_.size() - consumed_; }
 
   /// Lower the acceptable payload size below the protocol-wide
   /// kMaxPayloadBytes (values above it are clamped). A frame announcing a
@@ -158,6 +169,9 @@ class FrameDecoder {
 
  private:
   std::string buffer_;
+  /// Prefix of buffer_ already handed out as frames; dropped on the next
+  /// feed() so a returned FrameView stays valid until then.
+  std::size_t consumed_ = 0;
   std::uint32_t max_payload_ = kMaxPayloadBytes;
 };
 
@@ -228,11 +242,15 @@ struct Hello {
 
   /// Encode at `version`: v2/v3 omit role and map_version.
   std::string encode(std::uint8_t version = kWireVersion) const;
-  static Hello decode(const std::string& payload,
+  static Hello decode(std::string_view payload,
                       std::uint8_t version = kWireVersion);
 };
 
-struct SnapshotDelta {
+/// One epoch's sketch delta. `Blob` owns the sketch bytes (SnapshotDelta)
+/// or views bytes the caller keeps alive (SnapshotDeltaView): the spooled
+/// blob when sending, the frame payload when receiving.
+template <typename Blob>
+struct BasicSnapshotDelta {
   std::uint64_t site_id = 0;
   /// 1-based epoch number, strictly increasing per site.
   std::uint64_t epoch = 0;
@@ -247,13 +265,20 @@ struct SnapshotDelta {
   std::uint64_t spool_unix_ns = 0;   ///< delta enqueued on the spool
   std::uint64_t ship_unix_ns = 0;    ///< stamped per send attempt
   /// DistinctCountSketch::serialize bytes (self-checksummed, v2 footer).
-  std::string sketch_blob;
+  Blob sketch_blob;
 
   /// Encode at `version`: v2 omits the four timestamp fields.
   std::string encode(std::uint8_t version = kWireVersion) const;
-  static SnapshotDelta decode(const std::string& payload,
-                              std::uint8_t version = kWireVersion);
+  /// The whole SnapshotDelta frame, byte-identical to
+  /// encode_frame(kSnapshotDelta, encode(version), version) but written
+  /// into one buffer: the blob is copied once, into the frame.
+  std::string encode_frame(std::uint8_t version = kWireVersion) const;
+  static BasicSnapshotDelta decode(std::string_view payload,
+                                   std::uint8_t version = kWireVersion);
 };
+
+using SnapshotDelta = BasicSnapshotDelta<std::string>;
+using SnapshotDeltaView = BasicSnapshotDelta<std::string_view>;
 
 struct Heartbeat {
   std::uint64_t site_id = 0;
@@ -263,7 +288,7 @@ struct Heartbeat {
   std::uint64_t dropped_epochs = 0;
 
   std::string encode() const;
-  static Heartbeat decode(const std::string& payload);
+  static Heartbeat decode(std::string_view payload);
 };
 
 struct Ack {
@@ -288,7 +313,7 @@ struct Ack {
 
   /// Encode at `version`: v2/v3 omit map_version and map_blob.
   std::string encode(std::uint8_t version = kWireVersion) const;
-  static Ack decode(const std::string& payload,
+  static Ack decode(std::string_view payload,
                     std::uint8_t version = kWireVersion);
 };
 
@@ -296,7 +321,7 @@ struct Bye {
   std::uint64_t site_id = 0;
 
   std::string encode() const;
-  static Bye decode(const std::string& payload);
+  static Bye decode(std::string_view payload);
 };
 
 }  // namespace dcs::service

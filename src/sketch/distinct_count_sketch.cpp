@@ -434,6 +434,15 @@ void DistinctCountSketch::serialize(BinaryWriter& writer) const {
   write_crc_footer(writer);
 }
 
+std::size_t DistinctCountSketch::serialized_size() const noexcept {
+  // Header (magic u32 + version u8), the params fields, the allocation
+  // mask, each allocated level as a u64-prefixed vector, and the footer.
+  std::size_t bytes = 5 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 4;
+  for (const auto& level : levels_)
+    if (!level.empty()) bytes += 8 + level.size() * sizeof(std::int64_t);
+  return bytes;
+}
+
 DistinctCountSketch DistinctCountSketch::deserialize(BinaryReader& reader) {
   reader.crc_reset();
   const std::uint8_t version = read_header(reader, kSketchMagic, kSketchVersion);

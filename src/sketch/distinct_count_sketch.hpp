@@ -154,6 +154,9 @@ class DistinctCountSketch final : public TopKEstimator {
 
   void serialize(BinaryWriter& writer) const;
   static DistinctCountSketch deserialize(BinaryReader& reader);
+  /// Exact byte count serialize() writes, so a caller can size the buffer
+  /// up front instead of growing it while the blob is written.
+  std::size_t serialized_size() const noexcept;
 
   /// True iff params and all counters match (unallocated levels compare
   /// equal to all-zero levels).

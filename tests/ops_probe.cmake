@@ -1,6 +1,6 @@
 # Live ops-plane probe — runs *concurrently* with a dcs_collector that is
-# mid-ingest (see service_smoke.cmake), so every assertion here is against a
-# server answering while deltas are actively merging:
+# ingesting (see service_smoke.cmake), so every assertion here is against a
+# live server:
 #   * /healthz answers and reports a running collector,
 #   * /metrics is well-formed Prometheus text and carries the
 #     dcs_trace_stage_ns family for every pipeline stage plus
@@ -8,8 +8,13 @@
 #   * /traces contains at least one complete epoch trace.
 # Fetches via curl when available, else CMake's file(DOWNLOAD).
 #
+# Last, it runs one small dcs_agent as the collector's second site, whose
+# Bye lets the collector exit.
+#
 # Inputs: -DOPS_PORT_FILE=<path the collector publishes its ops port to>
 #         -DOUT_DIR=<scratch directory for fetched payloads>
+#         -DDCS_AGENT=<dcs_agent binary>
+#         -DCOLLECTOR_PORT_FILE=<path the collector publishes its port to>
 find_program(CURL_EXE curl)
 
 function(fetch path out_var)
@@ -48,7 +53,7 @@ string(STRIP "${ops_port}" ops_port)
 # Poll until the pipeline has demonstrably moved an epoch end to end: the
 # freshness SLO histogram has counted at least one merge and the trace ring
 # holds a complete trace. Everything after the loop asserts on the payloads
-# captured while ingest was still running.
+# captured while the collector was live.
 set(metrics "")
 set(traces "")
 set(waited 0)
@@ -112,5 +117,13 @@ foreach(line ${metric_lines})
     message(FATAL_ERROR "ops_probe: malformed Prometheus line '${line}'")
   endif()
 endforeach()
+
+execute_process(
+  COMMAND ${DCS_AGENT} --site 10 --port-file ${COLLECTOR_PORT_FILE}
+          --u 200 --d 5 --epoch-updates 100
+  RESULT_VARIABLE release_rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT release_rc EQUAL 0)
+  message(FATAL_ERROR "ops_probe: releasing agent failed (${release_rc})")
+endif()
 
 message(STATUS "ops_probe: live scrape OK (freshness counted, trace complete)")

@@ -179,4 +179,7 @@ if(NOT time_travel STREQUAL time_travel_again)
 endif()
 
 finish()
-message(STATUS "query_probe: live sweep OK (all routes, time travel, cache)")
+# To stderr: in the live pipeline this probe's stdout feeds the collector's
+# stdin, and the collector may already have exited once its agent said Bye
+# (a write there would kill the probe with SIGPIPE).
+message(NOTICE "query_probe: live sweep OK (all routes, time travel, cache)")

@@ -60,24 +60,27 @@ endforeach()
 
 message(STATUS "service_smoke: 4 agents, 16 deltas, clean merge")
 
-# --- Phase 2: live ops-plane scrape mid-ingest ------------------------------
-# A fresh collector with the embedded HTTP ops server and one deliberately
-# heavy agent (~98 epochs) keep ingest running for several seconds while
-# ops_probe.cmake — the third member of the concurrent pipeline — curls
-# /healthz, /metrics, /sites and /traces and asserts on what a live scrape
-# must show (all stage histogram families, a nonzero freshness count, at
-# least one complete epoch trace). The periodic --metrics-every flush is on
-# so the probe's success also implies the scrape-less fallback ran.
+# --- Phase 2: live ops-plane scrape -------------------------------------------
+# A fresh collector with the embedded HTTP ops server ingests one agent's
+# ~98 epochs while ops_probe.cmake — the third member of the concurrent
+# pipeline — curls /healthz, /metrics, /sites and /traces and asserts on
+# what a live scrape must show (all stage histogram families, a nonzero
+# freshness count, at least one complete epoch trace). The collector waits
+# for a second site, which the probe starts only after its last check, so
+# it serves the whole scrape however fast the first agent finishes. The
+# periodic --metrics-every flush is on so the probe's success also implies
+# the scrape-less fallback ran.
 set(ops_port_file ${WORK_DIR}/ops.port)
 set(live_port_file ${WORK_DIR}/live_collector.port)
 execute_process(
   COMMAND ${DCS_AGENT} --site 9 --port-file ${live_port_file}
           --u 200000 --d 50 --epoch-updates 2048
-  COMMAND ${DCS_COLLECTOR} --port-file ${live_port_file} --sites 1
+  COMMAND ${DCS_COLLECTOR} --port-file ${live_port_file} --sites 2
           --timeout-ms 60000 --ops-port 0 --ops-port-file ${ops_port_file}
           --metrics-out ${WORK_DIR}/live_metrics.prom --metrics-every 1
   COMMAND ${CMAKE_COMMAND} -DOPS_PORT_FILE=${ops_port_file}
-          -DOUT_DIR=${WORK_DIR}
+          -DOUT_DIR=${WORK_DIR} -DDCS_AGENT=${DCS_AGENT}
+          -DCOLLECTOR_PORT_FILE=${live_port_file}
           -P ${CMAKE_CURRENT_LIST_DIR}/ops_probe.cmake
   WORKING_DIRECTORY ${WORK_DIR}
   OUTPUT_VARIABLE live_out
@@ -100,4 +103,4 @@ if(NOT live_prom MATCHES "dcs_detection_freshness_ns_count [1-9]")
     "counts:\n${live_prom}")
 endif()
 
-message(STATUS "service_smoke: live ops plane scraped mid-ingest")
+message(STATUS "service_smoke: live ops plane scraped")

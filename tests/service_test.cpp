@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -212,7 +214,168 @@ TEST(WireFraming, ReceiverPayloadCapBoundary) {
   EXPECT_EQ(wide.max_payload(), kMaxPayloadBytes);
 }
 
+/// Sketch parameters whose serialized delta exceeds 1 MiB (each allocated
+/// level is 3 x 1024 x 65 counters), so the frame and footer CRCs run
+/// their folding kernel over many blocks.
+DcsParams large_params() {
+  DcsParams params = small_params();
+  params.buckets_per_table = 1024;
+  return params;
+}
+
+std::string large_blob(const DistinctCountSketch& sketch) {
+  std::string blob;
+  BinaryWriter writer(blob);
+  sketch.serialize(writer);
+  return blob;
+}
+
+DistinctCountSketch large_sketch() {
+  DistinctCountSketch sketch(large_params());
+  for (const auto& update : zipf_updates(300, 21))
+    sketch.update(update.dest, update.source, update.delta);
+  return sketch;
+}
+
+/// Per-hop integrity: one flipped bit anywhere in a >= 1 MiB SnapshotDelta
+/// frame fails the frame CRC. The offsets cover the header, sampled 64-byte
+/// fold blocks, the last 16-byte block and the tail the table loop finishes.
+TEST(WireFraming, BitFlipsInALargeDeltaFrameAreRejected) {
+  SnapshotDelta delta;
+  delta.site_id = 3;
+  delta.epoch = 12;
+  delta.updates = 99;
+  delta.sketch_blob.resize((1u << 20) + 13);
+  std::mt19937 rng(5);
+  for (char& c : delta.sketch_blob) c = static_cast<char>(rng());
+  std::string frame = delta.encode_frame();
+  ASSERT_EQ(frame, encode_frame(MsgType::kSnapshotDelta, delta.encode()));
+
+  // The CRC covers [4, crc_end).
+  const std::size_t crc_begin = 4;
+  const std::size_t crc_end = frame.size() - kFrameCrcBytes;
+  const std::size_t span = crc_end - crc_begin;
+  ASSERT_NE(span % 16, 0u) << "want a tail shorter than one 16-byte block";
+  const std::size_t tail = crc_begin + span / 16 * 16;
+  std::vector<std::size_t> offsets;
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) offsets.push_back(i);
+  for (std::size_t block = 0; block < span / 64; block += 997) {
+    offsets.push_back(crc_begin + block * 64);
+    offsets.push_back(crc_begin + block * 64 + 63);
+  }
+  for (std::size_t i = tail - 16; i < frame.size(); ++i) offsets.push_back(i);
+
+  for (const std::size_t offset : offsets) {
+    for (const int bit : {0, 7}) {
+      frame[offset] = static_cast<char>(frame[offset] ^ (1 << bit));
+      FrameDecoder decoder;
+      decoder.feed(frame.data(), frame.size());
+      if (offset >= 6 && offset < kFrameHeaderBytes) {
+        // A flipped length bit may announce a longer frame: the decoder
+        // then waits for bytes that never come. It must never yield one.
+        try {
+          EXPECT_FALSE(decoder.next_view().has_value()) << "offset " << offset;
+        } catch (const WireError&) {
+        }
+      } else {
+        EXPECT_THROW(decoder.next_view(), WireError)
+            << "offset " << offset << " bit " << bit;
+      }
+      frame[offset] = static_cast<char>(frame[offset] ^ (1 << bit));
+    }
+  }
+  FrameDecoder clean;
+  clean.feed(frame.data(), frame.size());
+  const auto view = clean.next_view();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(SnapshotDeltaView::decode(view->payload).sketch_blob,
+            delta.sketch_blob);
+}
+
+/// End-to-end integrity: a blob byte flipped before the frame CRC was
+/// computed (corruption at the sender, or at a relaying leaf) passes the
+/// per-hop check and is still caught by the sketch's own footer.
+TEST(WireFraming, BlobFlipUnderARecomputedFrameCrcFailsTheSketchFooter) {
+  const std::string blob = large_blob(large_sketch());
+  ASSERT_GE(blob.size(), 1u << 20);
+  for (const std::size_t offset :
+       {blob.size() / 3, blob.size() / 2, blob.size() - 5, blob.size() - 1}) {
+    SnapshotDelta delta;
+    delta.site_id = 1;
+    delta.epoch = 1;
+    delta.sketch_blob = blob;
+    delta.sketch_blob[offset] ^= 0x04;
+    const std::string frame = delta.encode_frame();
+
+    FrameDecoder decoder;
+    decoder.feed(frame.data(), frame.size());
+    const auto view = decoder.next_view();
+    ASSERT_TRUE(view.has_value()) << "the frame CRC covers the tampered blob";
+    const SnapshotDeltaView received =
+        SnapshotDeltaView::decode(view->payload, view->version);
+    BinaryReader reader(received.sketch_blob);
+    EXPECT_THROW(DistinctCountSketch::deserialize(reader), SerializeError)
+        << "blob offset " << offset;
+  }
+}
+
 // --- loopback integration ---------------------------------------------------
+
+/// The same end-to-end check on a live collector: a large, well-framed
+/// delta with a corrupt blob drops the connection and merges nothing; the
+/// intact delta then merges bit-identically.
+TEST(ServiceLoopback, LargeCorruptBlobIsRejectedAndIntactOneMerges) {
+  CollectorConfig config = collector_config();
+  config.params = large_params();
+  config.run_detection = false;
+  Collector collector(config);
+  collector.start();
+
+  const DistinctCountSketch sketch = large_sketch();
+  Hello hello;
+  hello.site_id = 4;
+  hello.params_fingerprint = large_params().fingerprint();
+  SnapshotDelta delta;
+  delta.site_id = 4;
+  delta.epoch = 1;
+  delta.updates = 300;
+  delta.sketch_blob = large_blob(sketch);
+  const std::string good = delta.encode_frame();
+  delta.sketch_blob[delta.sketch_blob.size() / 2] ^= 0x10;
+  const std::string tampered = delta.encode_frame();
+
+  const auto ship = [&](const std::string& frame) -> std::optional<Ack> {
+    auto socket = tcp_connect("127.0.0.1", collector.port(), 1000);
+    if (!socket) return std::nullopt;
+    socket->set_timeouts(3000, 3000);
+    if (!socket->send_all(encode_frame(MsgType::kHello, hello.encode()) +
+                          frame))
+      return std::nullopt;
+    FrameDecoder decoder;
+    char buffer[4096];
+    std::optional<Ack> last;
+    for (;;) {
+      while (auto reply = decoder.next())
+        last = Ack::decode(reply->payload, reply->version);
+      if (last && last->epoch == delta.epoch) return last;
+      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
+      if (got.closed || got.error || got.bytes == 0) return std::nullopt;
+      decoder.feed(buffer, got.bytes);
+    }
+  };
+
+  EXPECT_FALSE(ship(tampered).has_value()) << "corrupt blob was acked";
+  EXPECT_GE(collector.stats().frame_errors, 1u);
+  EXPECT_EQ(collector.stats().deltas_merged, 0u);
+
+  const auto ack = ship(good);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  EXPECT_EQ(collector.stats().deltas_merged, 1u);
+  EXPECT_TRUE(collector.merged_sketch() == sketch);
+  collector.stop();
+}
+
 
 /// The acceptance-criteria scenario: four agents split one stream; the
 /// collector's merged sketch must equal the single-sketch reference on the

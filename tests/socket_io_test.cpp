@@ -147,11 +147,13 @@ TEST(ServiceSocketIo, SendAllAndRecvSomeSurviveEintr) {
 
   const std::string payload(1 << 20, 'e');
   std::atomic<bool> done{false};
+  std::atomic<bool> published{false};
   pthread_t victim = pthread_self();
 
   std::thread io([&] {
     // This thread does the I/O; the main thread signals it.
     victim = pthread_self();
+    published.store(true);
     std::string received;
     char buffer[8 * 1024];
     while (received.size() < payload.size()) {
@@ -164,6 +166,7 @@ TEST(ServiceSocketIo, SendAllAndRecvSomeSurviveEintr) {
     done.store(true);
   });
   // Let the io thread publish its pthread id and block in recv.
+  while (!published.load()) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   std::thread pepper([&] {
