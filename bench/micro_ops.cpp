@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -16,6 +17,7 @@
 #include "sketch/count_signature.hpp"
 #include "sketch/sliding_window.hpp"
 #include "sketch/distinct_count_sketch.hpp"
+#include "sketch/epoch_sketch.hpp"
 #include "sketch/indexed_heap.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"
@@ -53,6 +55,23 @@ void BM_SignatureAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureAdd);
+
+void BM_SignatureAdd32(benchmark::State& state) {
+  // The agent's int32 epoch-counter signature add (EpochSketch): one
+  // 64-byte-aligned block of 64 bit counters; compare with BM_SignatureAdd.
+  struct alignas(64) Block {
+    std::int32_t counts[64] = {};
+  } block;
+  Xoshiro256 rng(1);
+  std::uint64_t key = rng();
+  for (auto _ : state) {
+    detail::dense_add32(block.counts, key, +1);
+    key = key * 6364136223846793005ULL + 1;
+    benchmark::DoNotOptimize(block.counts);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SignatureAdd32);
 
 void BM_SignatureClassify(benchmark::State& state) {
   std::vector<std::int64_t> counters(65, 0);
@@ -348,6 +367,44 @@ void BM_DeltaCodecRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(blob_bytes));
 }
 BENCHMARK(BM_DeltaCodecRoundTrip)->Unit(benchmark::kMillisecond);
+
+void BM_EpochIngest(benchmark::State& state) {
+  // The agent's router-thread work for one paper-sized epoch (the paper's
+  // 6.1 Zipf stream, 131072 updates over 50k destinations, default
+  // parameters), seal included. Arg 0: the former path, an int64
+  // DistinctCountSketch per epoch, replaced by a fresh one at seal and
+  // serialized. Arg 1: EpochSketch, int32 counters widened once at seal.
+  // Both produce the same blob. Reports updates/s.
+  ZipfWorkloadConfig config;
+  config.u_pairs = 131'072;
+  config.num_destinations = 50'000;
+  config.skew = 1.5;
+  config.seed = 31;
+  const auto updates = ZipfWorkload(config).updates();
+  const DcsParams params;
+  DistinctCountSketch sketch(params);
+  EpochSketch epoch(params);
+  const bool epoch_counters = state.range(0) == 1;
+  for (auto _ : state) {
+    std::string blob;
+    if (epoch_counters) {
+      for (const auto& u : updates) epoch.update(u.dest, u.source, u.delta);
+      blob = epoch.seal();
+    } else {
+      for (const auto& u : updates) sketch.update(u.dest, u.source, u.delta);
+      const DistinctCountSketch sealed =
+          std::exchange(sketch, DistinctCountSketch(params));
+      blob.reserve(sealed.serialized_size());
+      BinaryWriter writer(blob);
+      sealed.serialize(writer);
+    }
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(updates.size()));
+}
+BENCHMARK(BM_EpochIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

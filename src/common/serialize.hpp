@@ -68,6 +68,22 @@ class BinaryWriter {
     raw(v.data(), v.size() * sizeof(T));
   }
 
+  /// Append `n` bytes that `write(char* out)` produces in place — `out`
+  /// starts zeroed, so `write` may skip zero runs — then fold them into the
+  /// running CRC while they are still in cache. Memory writers only: a
+  /// section computed element by element (EpochSketch widening a level)
+  /// lands in the output with no staging copy.
+  template <typename Write>
+  void fill(std::size_t n, Write&& write) {
+    if (bytes_ == nullptr)
+      throw SerializeError("BinaryWriter: fill needs a memory sink");
+    const std::size_t at = bytes_->size();
+    bytes_->resize(at + n);
+    char* out = bytes_->data() + at;
+    write(out);
+    if (crc_on_) crc_ = crc32(out, n, crc_);
+  }
+
   /// Running CRC-32 of every byte written since the last crc_reset().
   std::uint32_t crc() const noexcept { return crc_; }
 

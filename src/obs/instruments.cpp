@@ -59,6 +59,20 @@ SketchMetrics& SketchMetrics::get() {
   return instance;
 }
 
+void SketchUpdateTally::flush() {
+  if (counts == 0) return;
+  auto& metrics = SketchMetrics::get();
+  metrics.updates.inc(counts & 0xffffffffULL);
+  const std::uint64_t deletes = counts >> 32;
+  if (deletes > 0) metrics.deletes.inc(deletes);
+  for (std::size_t l = 0; l < level_hits.size(); ++l) {
+    // level_hits(l) folds l > kMaxLevelLabel into the "32+" series.
+    if (level_hits[l] != 0)
+      metrics.level_hits(static_cast<int>(l)).inc(level_hits[l]);
+  }
+  *this = {};
+}
+
 TrackingMetrics& TrackingMetrics::get() {
   static TrackingMetrics instance{
       Registry::global().counter(
@@ -313,6 +327,10 @@ FederationMetrics& FederationMetrics::get() {
           "dcs_root_pending_gap_epochs",
           "Epochs below a site watermark the root is still awaiting "
           "(drains to 0 once every leaf journal is re-forwarded)"),
+      Registry::global().counter(
+          "dcs_root_gap_overflow_epochs_total",
+          "Epochs of a site jump beyond the root's per-site gap-ledger "
+          "bound, booked as dropped without being awaited"),
       Registry::global().counter(
           "dcs_root_relayed_deltas_total",
           "Deltas merged from role=leaf uplink connections at the root"),

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "obs/metrics.hpp"
 
@@ -40,6 +41,33 @@ struct SketchMetrics {
   static SketchMetrics& get();
 
   std::array<Counter*, kMaxLevelLabel + 1> level_hits_;
+};
+
+/// SketchMetrics update tallies kept with plain increments on the ingest
+/// thread and flushed to the registry every kFlushInterval updates, and
+/// wherever the owner flushes explicitly (queries, epoch seal). This keeps
+/// per-update telemetry inside the obs_overhead budget; counts may lag the
+/// registry by one batch between flushes. `counts` packs the update tally
+/// (low 32 bits) and the delete tally (high 32 bits) so the hot path pays
+/// one branchless add; `level_hits` has one slot per sketch level
+/// (max_level <= 63), folded into the "32+" label at flush time.
+struct SketchUpdateTally {
+  static constexpr std::uint32_t kFlushInterval = 1024;
+  std::uint64_t counts = 0;
+  std::array<std::uint32_t, 64> level_hits{};
+
+  /// Count `updates` updates, `deletes` of them deletions; flush when due.
+  void add(std::uint32_t updates, std::uint32_t deletes) {
+    counts += updates + (static_cast<std::uint64_t>(deletes) << 32);
+    if ((counts & 0xffffffffULL) >= kFlushInterval) flush();
+  }
+  /// Count one update of weight `delta` landing in `level`.
+  void record(int level, int delta) {
+    ++level_hits[static_cast<std::size_t>(level)];
+    add(1, delta < 0 ? 1 : 0);
+  }
+  /// Push the pending tallies to SketchMetrics and reset them.
+  void flush();
 };
 
 /// TrackingDcs (paper §5): Fig. 6 singleton-set churn and heap maintenance.
@@ -170,6 +198,7 @@ struct FederationMetrics {
   Counter& reshards;            // dcs_collector_reshards_total
   Counter& gap_fills;           // dcs_root_gap_fills_total
   Gauge& pending_gap_epochs;    // dcs_root_pending_gap_epochs
+  Counter& gap_overflow_epochs; // dcs_root_gap_overflow_epochs_total
   Counter& relayed_deltas;      // dcs_root_relayed_deltas_total
   Counter& tap_shed_deltas;     // dcs_leaf_uplink_shed_total
   Counter& uplink_relayed;      // dcs_leaf_uplink_relayed_total

@@ -13,19 +13,6 @@
 
 namespace dcs::service {
 
-namespace {
-
-std::shared_ptr<const std::string> serialize_sketch(
-    const DistinctCountSketch& sketch) {
-  std::string blob;
-  blob.reserve(sketch.serialized_size());
-  BinaryWriter writer(blob);
-  sketch.serialize(writer);
-  return std::make_shared<const std::string>(std::move(blob));
-}
-
-}  // namespace
-
 SiteAgent::SiteAgent(SiteAgentConfig config)
     : config_(std::move(config)),
       current_(config_.params),
@@ -95,8 +82,7 @@ void SiteAgent::seal_epoch() {
   sealed.epoch = current_epoch_;
   sealed.updates = current_updates_;
   const std::uint64_t seal_start_ns = obs::steady_now_ns();
-  sealed.blob =
-      serialize_sketch(std::exchange(current_, DistinctCountSketch(config_.params)));
+  sealed.blob = std::make_shared<const std::string>(current_.seal());
   // Origin stamps: the wall clock rides the wire (v3) so the collector can
   // subtract across processes; the steady stamp is for agent-local spans.
   sealed.seal_unix_ns = obs::unix_now_ns();

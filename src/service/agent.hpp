@@ -1,9 +1,10 @@
 // SiteAgent: the per-router half of the sketch-shipping deployment.
 //
-// Wraps the existing ingest path (a local DistinctCountSketch) and, every
-// `epoch_updates` flow updates, seals the accumulated sketch into an
-// immutable per-epoch delta, serializes it (CRC-footered), and queues it on
-// a bounded spool. A background sender thread ships spooled deltas to the
+// Ingests into an EpochSketch (int32 epoch counters, sketch/epoch_sketch.hpp)
+// and, every `epoch_updates` flow updates, seals it into an immutable
+// per-epoch delta — the CRC-footered blob DistinctCountSketch::serialize
+// would write for the epoch — and queues it on a bounded spool. A
+// background sender thread ships spooled deltas to the
 // collector and only pops one after the collector's Ack — so a connection
 // drop mid-flight retransmits, and the collector's epoch dedup makes the
 // retransmit harmless.
@@ -29,7 +30,7 @@
 #include "common/random.hpp"
 #include "obs/trace.hpp"
 #include "service/federation/shard_map.hpp"
-#include "sketch/distinct_count_sketch.hpp"
+#include "sketch/epoch_sketch.hpp"
 #include "stream/flow_update.hpp"
 
 namespace dcs::service {
@@ -165,7 +166,7 @@ class SiteAgent {
   SiteAgentConfig config_;
 
   // Ingest state — touched only by the ingesting thread.
-  DistinctCountSketch current_;
+  EpochSketch current_;
   std::uint64_t current_updates_ = 0;
   std::uint64_t current_epoch_;
 

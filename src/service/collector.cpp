@@ -670,20 +670,22 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
       // Not (yet) a loss: with multiple relay paths the missing epochs may
       // simply be in flight on another leaf. Record them as pending gaps;
       // a bounded set per site keeps a buggy epoch jump from ballooning
-      // memory — the overflow beyond the bound is accounted as dropped.
-      constexpr std::uint64_t kMaxTrackedGapEpochs = 4096;
+      // memory — the oldest epochs beyond the bound are accounted as
+      // dropped, and counted apart as gap-ledger overflow.
       auto& gaps = gap_epochs_[site_id];
+      const std::uint64_t room =
+          kMaxTrackedGapEpochs -
+          std::min<std::uint64_t>(kMaxTrackedGapEpochs, gaps.size());
       std::uint64_t first_tracked = site.last_epoch + 1;
-      if (gap > kMaxTrackedGapEpochs - std::min<std::uint64_t>(
-                                           kMaxTrackedGapEpochs, gaps.size())) {
-        const std::uint64_t room =
-            kMaxTrackedGapEpochs -
-            std::min<std::uint64_t>(kMaxTrackedGapEpochs, gaps.size());
+      if (gap > room) {
         const std::uint64_t overflow = gap - room;
         site.dropped_epochs += overflow;
         totals_.dropped_epochs += overflow;
-        if (obs::recording())
+        totals_.gap_overflow_epochs += overflow;
+        if (obs::recording()) {
           obs::CollectorMetrics::get().dropped_epochs.inc(overflow);
+          obs::FederationMetrics::get().gap_overflow_epochs.inc(overflow);
+        }
         first_tracked += overflow;
       }
       for (std::uint64_t e = first_tracked; e < epoch; ++e) gaps.insert(e);

@@ -181,6 +181,10 @@ class Reactor;
 
 class Collector {
  public:
+  /// Root mode: pending gap epochs tracked per site. A jump past the bound
+  /// books its oldest epochs as dropped (Stats::gap_overflow_epochs).
+  static constexpr std::uint64_t kMaxTrackedGapEpochs = 4096;
+
   /// Per-site accounting, exposed for tests and operators.
   struct SiteStats {
     std::uint64_t site_id = 0;
@@ -242,6 +246,9 @@ class Collector {
     /// Root mode: epochs below a site's watermark still awaited (sum over
     /// sites; drains to 0 once every leaf journal is re-forwarded).
     std::uint64_t pending_gap_epochs = 0;
+    /// Root mode: epochs of a jump beyond the per-site gap-ledger bound,
+    /// never awaited and booked as dropped (also in dropped_epochs).
+    std::uint64_t gap_overflow_epochs = 0;
     /// Deltas accepted from role=kLeaf uplink connections.
     std::uint64_t relayed_deltas = 0;
     /// Deltas NACKed kRetryLater because the leaf uplink spool was full

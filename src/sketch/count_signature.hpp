@@ -37,6 +37,21 @@ namespace detail {
 using DenseAddFn = void (*)(std::int64_t* counters, std::uint64_t key,
                             std::int64_t delta);
 extern const DenseAddFn dense_add;
+
+/// The epoch-counter form of dense_add (sketch/epoch_sketch.hpp): add
+/// `delta` to each of the 64 int32 bit counters at `bits` whose bit is set
+/// in `key`. The bucket total lives apart and is not touched. The caller
+/// guarantees no counter leaves int32 range. Resolved once from CPUID to
+/// AVX-512F (4 masked 512-bit adds), AVX2 (8 byte-masked 256-bit adds) or
+/// dense_add32_portable; nullptr only before dynamic initialization.
+using DenseAdd32Fn = void (*)(std::int32_t* bits, std::uint64_t key,
+                              std::int32_t delta);
+extern const DenseAdd32Fn dense_add32;
+
+/// The set-bit loop behind dense_add32 on machines without the ISA, also
+/// used for keys narrower than 64 bits. O(popcount(key)).
+void dense_add32_portable(std::int32_t* bits, std::uint64_t key,
+                          std::int32_t delta);
 }  // namespace detail
 
 enum class BucketState : std::uint8_t {

@@ -61,6 +61,11 @@ struct DcsParams {
     return static_cast<std::size_t>(key_bits) + 1;
   }
 
+  /// True iff `key` fits in key_bits; sketches reject wider keys.
+  bool key_fits(std::uint64_t key) const noexcept {
+    return key_bits >= 64 || (key >> key_bits) == 0;
+  }
+
   /// Counters in one first-level bucket's full second-level structure.
   std::size_t counters_per_level() const noexcept {
     return static_cast<std::size_t>(num_tables) * buckets_per_table *

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "obs/instruments.hpp"
 
 namespace dcs {
 
@@ -25,17 +24,20 @@ constexpr std::uint64_t kLevelSeedSalt = 0x1b873593a4093822ULL;
 constexpr std::uint64_t kBucketSeedSalt = 0xcc9e2d51b5297a4dULL;
 }  // namespace
 
+SketchHashes::SketchHashes(const DcsParams& params)
+    : level(mix64(params.seed ^ kLevelSeedSalt), params.max_level),
+      buckets(mix64(params.seed ^ kBucketSeedSalt), params.num_tables,
+              params.buckets_per_table) {}
+
 DistinctCountSketch::DistinctCountSketch(DcsParams params)
     : params_(params),
-      level_hash_(mix64(params.seed ^ kLevelSeedSalt), params.max_level),
-      bucket_hashes_(mix64(params.seed ^ kBucketSeedSalt), params.num_tables,
-                     params.buckets_per_table),
+      hashes_(params),
       levels_(static_cast<std::size_t>(params.max_level) + 1) {
   params_.validate();
 }
 
 void DistinctCountSketch::check_key(PairKey key) const {
-  if (params_.key_bits < 64 && (key >> params_.key_bits) != 0)
+  if (!params_.key_fits(key))
     throw std::invalid_argument(
         "DistinctCountSketch: key does not fit in key_bits");
 }
@@ -76,13 +78,7 @@ void DistinctCountSketch::update_key(PairKey key, int delta) {
   check_key(key);
   const int level = level_of(key);
   ensure_level(level);
-  if (obs::recording()) {
-    pending_metrics_.counts +=
-        1 + (static_cast<std::uint64_t>(delta < 0) << 32);
-    ++pending_metrics_.level_hits[static_cast<std::size_t>(level)];
-    if ((pending_metrics_.counts & 0xffffffffULL) >= kMetricsFlushInterval)
-      flush_metrics();
-  }
+  if (obs::recording()) pending_metrics_.record(level, delta);
   for (int j = 0; j < params_.num_tables; ++j) {
     CountSignatureView sig(counters_at(level, j, bucket_of(j, key)),
                            params_.key_bits);
@@ -121,7 +117,7 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
     check_key(key);
     keys[i] = key;
     mixed[i] = mix64(key);
-    const int level = level_hash_.from_mixed(mixed[i]);
+    const int level = hashes_.level.from_mixed(mixed[i]);
     levels[i] = static_cast<std::uint16_t>(level);
     ++level_counts[static_cast<std::size_t>(level) + 1];
     deletes += u.delta < 0;
@@ -131,12 +127,7 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
     if (record && level_counts[l + 1] != 0)
       pending_metrics_.level_hits[l] += level_counts[l + 1];
   }
-  if (record) {
-    pending_metrics_.counts +=
-        n + (static_cast<std::uint64_t>(deletes) << 32);
-    if ((pending_metrics_.counts & 0xffffffffULL) >= kMetricsFlushInterval)
-      flush_metrics();
-  }
+  if (record) pending_metrics_.add(static_cast<std::uint32_t>(n), deletes);
 
   // Pass 2: counting-sort the update indices by level. The sketch is linear,
   // so any apply order yields bit-identical final state — and level-major
@@ -166,7 +157,7 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
     buckets.resize(group * tables);
     for (std::size_t j = 0; j < tables; ++j)
       for (std::size_t i = 0; i < group; ++i)
-        buckets[j * group + i] = bucket_hashes_.bucket_mixed(
+        buckets[j * group + i] = hashes_.buckets.bucket_mixed(
             static_cast<int>(j), mixed[order[begin + i]]);
     for (std::size_t j = 0; j < tables; ++j) {
       const std::uint32_t* row = buckets.data() + j * group;
@@ -183,21 +174,6 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
     }
     begin = end;
   }
-}
-
-void DistinctCountSketch::flush_metrics() const {
-  if (pending_metrics_.counts == 0) return;
-  auto& metrics = obs::SketchMetrics::get();
-  metrics.updates.inc(pending_metrics_.counts & 0xffffffffULL);
-  const std::uint64_t deletes = pending_metrics_.counts >> 32;
-  if (deletes > 0) metrics.deletes.inc(deletes);
-  for (std::size_t l = 0; l < pending_metrics_.level_hits.size(); ++l) {
-    // level_hits(l) folds l > kMaxLevelLabel into the "32+" series.
-    if (pending_metrics_.level_hits[l] != 0)
-      metrics.level_hits(static_cast<int>(l)).inc(
-          pending_metrics_.level_hits[l]);
-  }
-  pending_metrics_ = {};
 }
 
 void DistinctCountSketch::apply_to_table(int level, int table, PairKey key,
@@ -330,7 +306,7 @@ double DistinctCountSketch::correction_factor(
 }
 
 TopKResult DistinctCountSketch::top_k(std::size_t k) const {
-  flush_metrics();  // query-time snapshots see every update so far
+  pending_metrics_.flush();  // query-time snapshots see every update so far
   obs::ScopedTimer timer(obs::SketchMetrics::get().query_ns);
   const DistinctSample sample = collect_sample();
   TopKResult result;
@@ -345,7 +321,7 @@ TopKResult DistinctCountSketch::top_k(std::size_t k) const {
 
 std::vector<TopKEntry> DistinctCountSketch::groups_above(
     std::uint64_t tau) const {
-  flush_metrics();  // query-time snapshots see every update so far
+  pending_metrics_.flush();  // query-time snapshots see every update so far
   obs::ScopedTimer timer(obs::SketchMetrics::get().query_ns);
   const DistinctSample sample = collect_sample();
   const double scale =
@@ -361,7 +337,7 @@ std::vector<TopKEntry> DistinctCountSketch::groups_above(
 }
 
 std::uint64_t DistinctCountSketch::estimate_distinct_pairs() const {
-  flush_metrics();  // query-time snapshots see every update so far
+  pending_metrics_.flush();  // query-time snapshots see every update so far
   obs::ScopedTimer timer(obs::SketchMetrics::get().query_ns);
   const DistinctSample sample = collect_sample();
   const double scale =
@@ -372,7 +348,7 @@ std::uint64_t DistinctCountSketch::estimate_distinct_pairs() const {
 }
 
 std::uint64_t DistinctCountSketch::estimate_frequency(Addr group) const {
-  flush_metrics();  // query-time snapshots see every update so far
+  pending_metrics_.flush();  // query-time snapshots see every update so far
   obs::ScopedTimer timer(obs::SketchMetrics::get().query_ns);
   const DistinctSample sample = collect_sample();
   std::uint64_t in_sample = 0;
@@ -414,33 +390,47 @@ void DistinctCountSketch::subtract(const DistinctCountSketch& other) {
   }
 }
 
-void DistinctCountSketch::serialize(BinaryWriter& writer) const {
-  writer.crc_reset();  // footer covers the header too
-  write_header(writer, kSketchMagic, kSketchVersion);
-  writer.i32(params_.num_tables);
-  writer.u32(params_.buckets_per_table);
-  writer.i32(params_.key_bits);
-  writer.i32(params_.max_level);
-  writer.f64(params_.epsilon);
-  writer.f64(params_.sample_target_fraction);
-  writer.u8(params_.collision_correction ? 1 : 0);
-  writer.u64(params_.seed);
+std::uint64_t DistinctCountSketch::allocated_mask() const noexcept {
   std::uint64_t allocated = 0;
   for (std::size_t l = 0; l < levels_.size(); ++l)
     if (!levels_[l].empty()) allocated |= (1ULL << l);
+  return allocated;
+}
+
+void DistinctCountSketch::serialize_prefix(BinaryWriter& writer,
+                                           const DcsParams& params,
+                                           std::uint64_t allocated) {
+  write_header(writer, kSketchMagic, kSketchVersion);
+  writer.i32(params.num_tables);
+  writer.u32(params.buckets_per_table);
+  writer.i32(params.key_bits);
+  writer.i32(params.max_level);
+  writer.f64(params.epsilon);
+  writer.f64(params.sample_target_fraction);
+  writer.u8(params.collision_correction ? 1 : 0);
+  writer.u64(params.seed);
   writer.u64(allocated);
+}
+
+void DistinctCountSketch::serialize(BinaryWriter& writer) const {
+  writer.crc_reset();  // footer covers the header too
+  serialize_prefix(writer, params_, allocated_mask());
   for (const auto& level : levels_)
     if (!level.empty()) writer.pod_vector(level);
   write_crc_footer(writer);
 }
 
-std::size_t DistinctCountSketch::serialized_size() const noexcept {
+std::size_t DistinctCountSketch::serialized_size(
+    const DcsParams& params, std::uint64_t allocated) noexcept {
   // Header (magic u32 + version u8), the params fields, the allocation
   // mask, each allocated level as a u64-prefixed vector, and the footer.
-  std::size_t bytes = 5 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 4;
-  for (const auto& level : levels_)
-    if (!level.empty()) bytes += 8 + level.size() * sizeof(std::int64_t);
-  return bytes;
+  constexpr std::size_t kFixed = 5 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 4;
+  return kFixed + static_cast<std::size_t>(std::popcount(allocated)) *
+                      (8 + params.level_bytes());
+}
+
+std::size_t DistinctCountSketch::serialized_size() const noexcept {
+  return serialized_size(params_, allocated_mask());
 }
 
 DistinctCountSketch DistinctCountSketch::deserialize(BinaryReader& reader) {

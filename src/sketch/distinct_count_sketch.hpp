@@ -21,7 +21,6 @@
 // unit tests verify unbiasedness.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,12 +28,23 @@
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
+#include "obs/instruments.hpp"
 #include "sketch/count_signature.hpp"
 #include "sketch/dcs_params.hpp"
 #include "sketch/top_k.hpp"
 #include "stream/flow_update.hpp"
 
 namespace dcs {
+
+/// The first-level (level) hash and the r second-level (bucket) hashes of
+/// every sketch built with `params`, derived from params.seed. Anything
+/// that must address the same buckets as a DistinctCountSketch
+/// (EpochSketch's staging counters) derives its hashes here.
+struct SketchHashes {
+  explicit SketchHashes(const DcsParams& params);
+  LevelHash level;
+  BucketHashFamily buckets;
+};
 
 class DistinctCountSketch final : public TopKEstimator {
  public:
@@ -111,10 +121,10 @@ class DistinctCountSketch final : public TopKEstimator {
   double correction_factor(int level, std::uint64_t sample_size) const;
 
   // --- structural access (used by TrackingDcs and tests) ------------------
-  int level_of(PairKey key) const noexcept { return level_hash_(key); }
+  int level_of(PairKey key) const noexcept { return hashes_.level(key); }
 
   std::uint32_t bucket_of(int table, PairKey key) const noexcept {
-    return bucket_hashes_.bucket(table, key);
+    return hashes_.buckets.bucket(table, key);
   }
 
   /// Classify one second-level bucket (empty / singleton / collision).
@@ -158,6 +168,17 @@ class DistinctCountSketch final : public TopKEstimator {
   /// up front instead of growing it while the blob is written.
   std::size_t serialized_size() const noexcept;
 
+  /// The blob layout up to its first level: header, params and the mask of
+  /// allocated levels. Each allocated level follows, ascending, as a
+  /// u64-prefixed vector of counters_per_level() int64 counters, then the
+  /// CRC footer. serialize() writes the prefix through this, and so does
+  /// EpochSketch::seal(), so the two cannot drift apart.
+  static void serialize_prefix(BinaryWriter& writer, const DcsParams& params,
+                               std::uint64_t allocated);
+  /// Byte count of a blob with the levels in `allocated`.
+  static std::size_t serialized_size(const DcsParams& params,
+                                     std::uint64_t allocated) noexcept;
+
   /// True iff params and all counters match (unallocated levels compare
   /// equal to all-zero levels).
   friend bool operator==(const DistinctCountSketch& a,
@@ -178,36 +199,25 @@ class DistinctCountSketch final : public TopKEstimator {
   bool validate() const;
 
  private:
+  /// The agent's epoch form folds into and reads the int64 levels directly
+  /// when its int32 staging spills (sketch/epoch_sketch.hpp).
+  friend class EpochSketch;
+
   std::int64_t* counters_at(int level, int table, std::uint32_t bucket);
   const std::int64_t* counters_at(int level, int table,
                                   std::uint32_t bucket) const;
   void ensure_level(int level);
   void check_key(PairKey key) const;
-  void flush_metrics() const;
-
-  /// Update-path telemetry tallied locally (plain increments) and flushed
-  /// to the global registry every kMetricsFlushInterval updates and at
-  /// query time, keeping the per-update overhead inside the 5% budget
-  /// (bench/obs_overhead). Counts may lag the registry by one batch
-  /// between flushes. Mutable: queries flush from const paths.
-  /// `counts` packs the update tally (low 32 bits) and delete tally (high
-  /// 32 bits) so the per-update hot path pays one branchless add; the
-  /// level histogram has one slot per sketch level (max_level <= 63) so no
-  /// clamp is needed until flush time, where SketchMetrics::level_hits()
-  /// folds deep levels into its "32+" label.
-  struct PendingMetrics {
-    std::uint64_t counts = 0;
-    std::array<std::uint32_t, 64> level_hits{};
-  };
-  static constexpr std::uint32_t kMetricsFlushInterval = 1024;
+  std::uint64_t allocated_mask() const noexcept;
 
   DcsParams params_;
-  LevelHash level_hash_;
-  BucketHashFamily bucket_hashes_;
+  SketchHashes hashes_;
   /// levels_[l] is either empty (never touched) or a flat array of
   /// r * s * (key_bits + 1) counters.
   std::vector<std::vector<std::int64_t>> levels_;
-  mutable PendingMetrics pending_metrics_;
+  /// Update-path telemetry, flushed at query time too. Mutable: queries
+  /// flush from const paths.
+  mutable obs::SketchUpdateTally pending_metrics_;
 };
 
 /// Shared by BaseTopk and the threshold query: count group occurrences in a

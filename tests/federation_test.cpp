@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/instruments.hpp"
 #include "service/agent.hpp"
 #include "service/collector.hpp"
 #include "service/federation/leaf.hpp"
@@ -312,6 +313,69 @@ TEST(FederationRoot, GapLedgerFillsOutOfOrderEpochsExactlyOnce) {
                      +1);
   EXPECT_EQ(serialize_sketch(root.merged_sketch()),
             serialize_sketch(reference));
+}
+
+/// A relayed site that jumps further ahead than the root's gap ledger can
+/// track: the newest kMaxTrackedGapEpochs missing epochs are awaited, the
+/// older ones are booked as dropped and counted apart as ledger overflow.
+TEST(FederationRoot, GapLedgerOverflowIsCountedApart) {
+  CollectorConfig config;
+  config.params = small_params();
+  config.federation_root = true;
+  config.run_detection = false;
+  config.io_timeout_ms = 50;
+  Collector root(config);
+  root.start();
+  const std::uint64_t gap_fills_before =
+      obs::recording() ? obs::FederationMetrics::get().gap_fills.value() : 0;
+  const std::uint64_t overflow_before =
+      obs::recording()
+          ? obs::FederationMetrics::get().gap_overflow_epochs.value()
+          : 0;
+
+  RawLeafPeer peer;
+  ASSERT_TRUE(peer.hello(root.port(), 1001, config.params));
+  auto ack = peer.ship(config.params, 7, 1);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+
+  constexpr std::uint64_t kOverflow = 10;
+  const std::uint64_t jump_to =
+      1 + Collector::kMaxTrackedGapEpochs + kOverflow + 1;
+  ack = peer.ship(config.params, 7, jump_to);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  auto stats = root.stats();
+  EXPECT_EQ(stats.pending_gap_epochs, Collector::kMaxTrackedGapEpochs);
+  EXPECT_EQ(stats.gap_overflow_epochs, kOverflow);
+  EXPECT_EQ(stats.dropped_epochs, kOverflow);
+  if (obs::recording()) {
+    EXPECT_EQ(obs::FederationMetrics::get().gap_overflow_epochs.value() -
+                  overflow_before,
+              kOverflow);
+  }
+
+  // The oldest tracked epoch still fills its gap; an overflowed one was
+  // given up on, so it is answered as a duplicate and never merged.
+  ack = peer.ship(config.params, 7, 2 + kOverflow);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  ack = peer.ship(config.params, 7, 2);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kDuplicate);
+
+  stats = root.stats();
+  EXPECT_EQ(stats.deltas_merged, 3u);
+  EXPECT_EQ(stats.gap_fills, 1u);
+  EXPECT_EQ(stats.pending_gap_epochs, Collector::kMaxTrackedGapEpochs - 1);
+  EXPECT_EQ(stats.gap_overflow_epochs, kOverflow);
+  EXPECT_EQ(stats.dropped_epochs, kOverflow);
+  if (obs::recording()) {
+    EXPECT_EQ(obs::FederationMetrics::get().gap_fills.value() -
+                  gap_fills_before,
+              1u);
+  }
+  root.stop();
 }
 
 TEST(FederationRoot, NonRootCollectorRefusesLeafUplinks) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -659,6 +661,101 @@ TEST(ServiceAgent, SpoolOverflowDropsOldestAndCounts) {
   EXPECT_EQ(stats.spool_depth, 3u);
   EXPECT_EQ(stats.epochs_shipped, 0u);
   agent.stop(100);
+}
+
+/// Runs one agent against a collector that taps every delta it accepts, and
+/// checks each shipped blob against a fresh DistinctCountSketch fed that
+/// epoch's updates and serialized. The agent seals an under-full epoch by
+/// hand after `seal_at` updates, and flush() seals the final partial epoch.
+void expect_shipped_blobs_match_reference(
+    const DcsParams& params, const std::vector<FlowUpdate>& updates,
+    std::uint64_t epoch_updates, std::size_t seal_at) {
+  std::mutex tapped_mutex;
+  std::map<std::uint64_t, std::string> tapped;  // epoch -> blob
+  CollectorConfig collector_cfg = collector_config();
+  collector_cfg.params = params;
+  collector_cfg.delta_tap = [&](std::uint64_t, std::uint64_t epoch,
+                                std::uint64_t, std::string_view blob, bool) {
+    std::lock_guard<std::mutex> lock(tapped_mutex);
+    tapped.emplace(epoch, std::string(blob));
+    return true;
+  };
+  Collector collector(collector_cfg);
+  collector.start();
+
+  // The reference: split the stream where the agent will seal.
+  std::vector<std::string> expected;
+  {
+    DistinctCountSketch epoch_sketch(params);
+    std::uint64_t fill = 0;
+    const auto seal = [&] {
+      std::string blob;
+      BinaryWriter writer(blob);
+      epoch_sketch.serialize(writer);
+      expected.push_back(std::move(blob));
+      epoch_sketch = DistinctCountSketch(params);
+      fill = 0;
+    };
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      epoch_sketch.update(updates[i].dest, updates[i].source, updates[i].delta);
+      if (++fill == epoch_updates) seal();
+      if (i + 1 == seal_at && fill > 0) seal();
+    }
+    if (fill > 0) seal();
+  }
+
+  auto config = agent_config(1, collector.port());
+  config.params = params;
+  config.epoch_updates = epoch_updates;
+  const std::uint64_t updates_before =
+      obs::SketchMetrics::get().updates.value();
+  SiteAgent agent(config);
+  agent.start();
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    agent.ingest(updates[i]);
+    if (i + 1 == seal_at) agent.seal_epoch();
+  }
+  ASSERT_TRUE(agent.flush(10000));
+  agent.stop();
+  EXPECT_EQ(agent.stats().epochs_sealed, expected.size());
+  // Telemetry still counts every update on the agent path (seal flushes).
+  if (obs::recording()) {
+    EXPECT_EQ(obs::SketchMetrics::get().updates.value() - updates_before,
+              updates.size());
+  }
+
+  ASSERT_TRUE(collector.wait_for_deltas(expected.size(), 10000));
+  collector.stop();
+  std::lock_guard<std::mutex> lock(tapped_mutex);
+  ASSERT_EQ(tapped.size(), expected.size());
+  std::uint64_t epoch = config.first_epoch;
+  for (const std::string& blob : expected) {
+    ASSERT_TRUE(tapped.count(epoch)) << "epoch " << epoch;
+    EXPECT_TRUE(tapped[epoch] == blob) << "epoch " << epoch;
+    ++epoch;
+  }
+}
+
+/// The agent ingests into int32 epoch counters (EpochSketch), yet every
+/// blob it ships is byte-identical to the int64 sketch's serialization:
+/// default parameters, full epochs, an under-full seal_epoch(), flush().
+TEST(ServiceAgent, ShippedBlobsEqualReferenceSerializeDefaultParams) {
+  auto updates = zipf_updates(5000, 123);
+  // Deletions of pairs inserted earlier, some landing in a later epoch.
+  for (std::size_t i = 0; i < 600; i += 3)
+    updates.push_back({updates[i].source, updates[i].dest, -1});
+  expect_shipped_blobs_match_reference(DcsParams{}, updates, 2048, 3000);
+}
+
+TEST(ServiceAgent, ShippedBlobsEqualReferenceSerializeNarrowKeys) {
+  DcsParams params = small_params();
+  params.key_bits = 24;  // dest 0, 24-bit sources
+  Xoshiro256 rng(9);
+  std::vector<FlowUpdate> updates;
+  for (int i = 0; i < 3000; ++i)
+    updates.push_back({static_cast<Addr>(rng.bounded(1 << 24)), 0,
+                       static_cast<std::int8_t>(rng.bounded(5) == 0 ? -1 : 1)});
+  expect_shipped_blobs_match_reference(params, updates, 700, 1000);
 }
 
 /// Late-starting collector: the agent retries with backoff and delivers

@@ -103,6 +103,7 @@ std::string root_healthz_json(const service::Collector& collector) {
   field("duplicate_deltas", stats.duplicate_deltas);
   field("gap_fills", stats.gap_fills);
   field("pending_gap_epochs", stats.pending_gap_epochs);
+  field("gap_overflow_epochs", stats.gap_overflow_epochs);
   field("dropped_epochs", stats.dropped_epochs);
   field("wrong_shard_acks", stats.wrong_shard_acks);
   field("frame_errors", stats.frame_errors);
