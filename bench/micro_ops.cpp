@@ -5,6 +5,7 @@
 // them (CRC-32, and one serialize -> frame -> decode -> deserialize hop).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,22 +57,33 @@ void BM_SignatureAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureAdd);
 
-void BM_SignatureAdd32(benchmark::State& state) {
-  // The agent's int32 epoch-counter signature add (EpochSketch): one
+void BM_SignatureAdd16(benchmark::State& state) {
+  // The agent's int16 epoch-counter signature add (EpochSketch): one
   // 64-byte-aligned block of 64 bit counters; compare with BM_SignatureAdd.
+  // Arg = index into detail::dense_add16_variants() (0 is the dispatched
+  // kernel, the last the portable loop); variants this CPU lacks are skipped.
+  // Counters wrap freely here: the bench times the add, not its range.
+  const auto variants = detail::dense_add16_variants();
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (index >= variants.size()) {
+    state.SkipWithError("variant not available on this CPU");
+    return;
+  }
+  state.SetLabel(variants[index].name);
+  const detail::DenseAdd16Fn add = variants[index].fn;
   struct alignas(64) Block {
-    std::int32_t counts[64] = {};
+    std::int16_t counts[64] = {};
   } block;
   Xoshiro256 rng(1);
   std::uint64_t key = rng();
   for (auto _ : state) {
-    detail::dense_add32(block.counts, key, +1);
+    add(block.counts, key, +1);
     key = key * 6364136223846793005ULL + 1;
     benchmark::DoNotOptimize(block.counts);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_SignatureAdd32);
+BENCHMARK(BM_SignatureAdd16)->DenseRange(0, 2);
 
 void BM_SignatureClassify(benchmark::State& state) {
   std::vector<std::int64_t> counters(65, 0);
@@ -369,42 +381,63 @@ void BM_DeltaCodecRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_DeltaCodecRoundTrip)->Unit(benchmark::kMillisecond);
 
 void BM_EpochIngest(benchmark::State& state) {
-  // The agent's router-thread work for one paper-sized epoch (the paper's
-  // 6.1 Zipf stream, 131072 updates over 50k destinations, default
-  // parameters), seal included. Arg 0: the former path, an int64
-  // DistinctCountSketch per epoch, replaced by a fresh one at seal and
-  // serialized. Arg 1: EpochSketch, int32 counters widened once at seal.
-  // Both produce the same blob. Reports updates/s.
-  ZipfWorkloadConfig config;
-  config.u_pairs = 131'072;
-  config.num_destinations = 50'000;
-  config.skew = 1.5;
-  config.seed = 31;
-  const auto updates = ZipfWorkload(config).updates();
+  // The agent's router-thread work for paper-sized epochs (the paper's 6.1
+  // Zipf stream, 131072 updates over 50k destinations, default parameters),
+  // seal included. Arg 0: the former path, an int64 DistinctCountSketch per
+  // epoch, replaced by a fresh one at seal and serialized. Arg n >= 1: n
+  // EpochSketches (int16 counters widened once at seal), one site each, fed
+  // 256 updates at a time in turn as bench/e2e's generator feeds its agents,
+  // so n sites' staging compete for the cache. Every path writes the same
+  // blobs. Reports updates/s over all sites.
+  const int sites = static_cast<int>(state.range(0));
+  std::vector<std::vector<FlowUpdate>> streams;
+  for (int site = 0; site < std::max(sites, 1); ++site) {
+    ZipfWorkloadConfig config;
+    config.u_pairs = 131'072;
+    config.num_destinations = 50'000;
+    config.skew = 1.5;
+    config.seed = 31 + static_cast<std::uint64_t>(site);
+    streams.push_back(ZipfWorkload(config).updates());
+  }
+  const std::size_t epoch_updates = streams.front().size();
   const DcsParams params;
   DistinctCountSketch sketch(params);
-  EpochSketch epoch(params);
-  const bool epoch_counters = state.range(0) == 1;
+  std::vector<EpochSketch> epochs;
+  for (int site = 0; site < sites; ++site) epochs.emplace_back(params);
+  constexpr std::size_t kOffer = 256;
   for (auto _ : state) {
-    std::string blob;
-    if (epoch_counters) {
-      for (const auto& u : updates) epoch.update(u.dest, u.source, u.delta);
-      blob = epoch.seal();
-    } else {
-      for (const auto& u : updates) sketch.update(u.dest, u.source, u.delta);
+    if (sites == 0) {
+      for (const auto& u : streams.front())
+        sketch.update(u.dest, u.source, u.delta);
       const DistinctCountSketch sealed =
           std::exchange(sketch, DistinctCountSketch(params));
+      std::string blob;
       blob.reserve(sealed.serialized_size());
       BinaryWriter writer(blob);
       sealed.serialize(writer);
+      benchmark::DoNotOptimize(blob.data());
+    } else {
+      for (std::size_t at = 0; at < epoch_updates; at += kOffer) {
+        const std::size_t end = std::min(at + kOffer, epoch_updates);
+        for (int site = 0; site < sites; ++site) {
+          const auto& stream = streams[static_cast<std::size_t>(site)];
+          EpochSketch& epoch = epochs[static_cast<std::size_t>(site)];
+          for (std::size_t i = at; i < end; ++i)
+            epoch.update(stream[i].dest, stream[i].source, stream[i].delta);
+        }
+      }
+      for (EpochSketch& epoch : epochs) {
+        const std::string blob = epoch.seal();
+        benchmark::DoNotOptimize(blob.data());
+      }
     }
-    benchmark::DoNotOptimize(blob.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(updates.size()));
+                          static_cast<std::int64_t>(epoch_updates) *
+                          std::max(sites, 1));
 }
-BENCHMARK(BM_EpochIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EpochIngest)->Arg(0)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

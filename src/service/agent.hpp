@@ -1,6 +1,6 @@
 // SiteAgent: the per-router half of the sketch-shipping deployment.
 //
-// Ingests into an EpochSketch (int32 epoch counters, sketch/epoch_sketch.hpp)
+// Ingests into an EpochSketch (int16 epoch counters, sketch/epoch_sketch.hpp)
 // and, every `epoch_updates` flow updates, seals it into an immutable
 // per-epoch delta — the CRC-footered blob DistinctCountSketch::serialize
 // would write for the epoch — and queues it on a bounded spool. A

@@ -329,6 +329,14 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
       peer.site_id = hello.site_id;
       peer.role = hello.role;
       std::lock_guard<std::mutex> lock(state_mutex_);
+      const auto reject_locked = [&] {
+        ack.status = AckStatus::kRejected;
+        ++totals_.rejected_hellos;
+        if (obs::recording())
+          obs::CollectorMetrics::get().rejected_hellos.inc();
+        return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
+                            peer.wire_version);
+      };
       // Leaf shard enforcement: a site the current map assigns to another
       // leaf is re-homed with kWrongShard + the map (v4), or kRejected for
       // a downlevel agent that cannot decode a map anyway.
@@ -336,13 +344,13 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
           !shard_map_.empty() &&
           shard_map_.leaf_for(hello.site_id) != config_.leaf_id) {
         if (peer.wire_version >= 4) return wrong_shard_ack_locked(peer, 0);
-        ack.status = AckStatus::kRejected;
-        ++totals_.rejected_hellos;
-        if (obs::recording())
-          obs::CollectorMetrics::get().rejected_hellos.inc();
-        return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                            peer.wire_version);
+        return reject_locked();
       }
+      // Leaf ids and site ids are both keys of sites_: an id already booked
+      // under the other role is refused, or the two would share one ledger.
+      const auto [booked, first] =
+          peer_roles_.try_emplace(hello.site_id, hello.role);
+      if (!first && booked->second != hello.role) return reject_locked();
       peer.hello_ok = true;
       SiteStats& site = sites_[hello.site_id];
       site.site_id = hello.site_id;
@@ -655,6 +663,7 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
                                    obs::EpochTrace* trace) {
   SiteStats& site = sites_[site_id];
   site.site_id = site_id;
+  peer_roles_.try_emplace(site_id, PeerRole::kSite);
   const bool gap_fill = config_.federation_root && epoch <= site.last_epoch;
   if (gap_fill) {
     // Filling a previously recorded gap (already_merged_locked vetted
@@ -842,8 +851,10 @@ void Collector::recover() {
     ++totals_.recoveries;
     if (obs::recording()) obs::CheckpointMetrics::get().recoveries.inc();
   }
-  for (const auto& [site_id, site] : sites_)
+  for (const auto& [site_id, site] : sites_) {
     recovered_watermarks_[site_id] = site.last_epoch;
+    if (site.last_epoch > 0) peer_roles_.try_emplace(site_id, PeerRole::kSite);
+  }
 
   // Make the recovered state durable immediately: the journal tail folds
   // into a fresh checkpoint generation and a clean journal, so a crash loop

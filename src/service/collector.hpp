@@ -394,6 +394,10 @@ class Collector {
   TrackingDcs merged_;
   BaselineDetector detector_;
   std::map<std::uint64_t, SiteStats> sites_;
+  /// The role each id of sites_ was booked under: by its first accepted
+  /// Hello, or as a site by its first merged epoch (live, relayed or
+  /// replayed). A Hello under the other role is rejected.
+  std::map<std::uint64_t, PeerRole> peer_roles_;
   Stats totals_;
 
   /// Current shard map (empty = unsharded); replaced only by a strictly

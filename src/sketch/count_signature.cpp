@@ -8,14 +8,17 @@
 // add zero, lanes whose bit is set add `delta`. Signed 64-bit integer
 // addition is exact and associative here, so the dense result is
 // bit-identical to the scalar one — only the instruction count changes.
-// The int32 forms (dense_add32) serve the agent's epoch counters
-// (sketch/epoch_sketch.hpp): half the width, so a signature is 4 cache
-// lines and 4 AVX-512 adds instead of 9 lines and 8 adds.
+// The int16 forms (dense_add16) serve the agent's epoch counters
+// (sketch/epoch_sketch.hpp): a quarter of the width, so a signature is 2
+// cache lines and 2 AVX-512BW adds instead of 9 lines and 8 adds. int16 adds
+// wrap without a trace (scalar ones are promoted and narrowed, vector ones
+// are modular), so exactness rests on the caller's bound, which
+// tests/epoch_sketch_test.cpp checks byte for byte.
 //
 // Build note: the kernels carry `target` attributes instead of compiling the
 // whole project with -mavx2/-mavx512f, so the binary still runs on machines
 // without the ISA (dense_add resolves to nullptr there and callers keep the
-// scalar loop; dense_add32 resolves to its portable set-bit loop).
+// scalar loop; dense_add16 resolves to its portable set-bit loop).
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
 #define DCS_DENSE_ADD_X86 1
@@ -66,49 +69,44 @@ __attribute__((target("avx2"))) void dense_add_avx2(std::int64_t* counters,
   }
 }
 
-// The int32 epoch-counter kernels: a 64-counter block is exactly four
-// 512-bit vectors, so the 64-bit key is consumed 16 bits per masked add.
-__attribute__((target("avx512f"))) void dense_add32_avx512(
-    std::int32_t* bits, std::uint64_t key, std::int32_t delta) {
-  const __m512i dv = _mm512_set1_epi32(delta);
-  for (int k = 0; k < 4; ++k) {
-    const __mmask16 mask = static_cast<__mmask16>(key >> (16 * k));
-    std::int32_t* p = bits + 16 * k;
+// The int16 epoch-counter kernels. AVX-512BW: a 64-counter block is exactly
+// two 512-bit vectors, so the 64-bit key is consumed 32 bits per masked add.
+__attribute__((target("avx512bw"))) void dense_add16_avx512(
+    std::int16_t* bits, std::uint64_t key, std::int16_t delta) {
+  const __m512i dv = _mm512_set1_epi16(delta);
+  for (int k = 0; k < 2; ++k) {
+    const __mmask32 mask = static_cast<__mmask32>(key >> (32 * k));
+    std::int16_t* p = bits + 32 * k;
     const __m512i v = _mm512_loadu_si512(p);
-    _mm512_storeu_si512(p, _mm512_mask_add_epi32(v, mask, v, dv));
+    _mm512_storeu_si512(p, _mm512_mask_add_epi16(v, mask, v, dv));
   }
 }
 
-// AVX2: each key byte is broadcast and expanded to an 8x32 lane mask by
-// comparing against per-lane bit constants; 8 iterations over the block.
-__attribute__((target("avx2"))) void dense_add32_avx2(std::int32_t* bits,
+// AVX2: each 16-bit chunk of the key is broadcast and expanded to a 16x16
+// lane mask by comparing against per-lane bit constants; 4 iterations over
+// the block.
+__attribute__((target("avx2"))) void dense_add16_avx2(std::int16_t* bits,
                                                       std::uint64_t key,
-                                                      std::int32_t delta) {
-  const __m256i dv = _mm256_set1_epi32(delta);
-  const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  for (int k = 0; k < 8; ++k) {
-    const int byte = static_cast<int>((key >> (8 * k)) & 0xff);
-    const __m256i mask = _mm256_cmpeq_epi32(
-        _mm256_and_si256(_mm256_set1_epi32(byte), lane_bit), lane_bit);
-    std::int32_t* p = bits + 8 * k;
+                                                      std::int16_t delta) {
+  const __m256i dv = _mm256_set1_epi16(delta);
+  const __m256i lane_bit = _mm256_setr_epi16(
+      0x0001, 0x0002, 0x0004, 0x0008, 0x0010, 0x0020, 0x0040, 0x0080, 0x0100,
+      0x0200, 0x0400, 0x0800, 0x1000, 0x2000, 0x4000,
+      static_cast<short>(0x8000));
+  for (int k = 0; k < 4; ++k) {
+    const auto chunk = static_cast<short>(key >> (16 * k));
+    const __m256i mask = _mm256_cmpeq_epi16(
+        _mm256_and_si256(_mm256_set1_epi16(chunk), lane_bit), lane_bit);
+    std::int16_t* p = bits + 16 * k;
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(p),
-        _mm256_add_epi32(v, _mm256_and_si256(dv, mask)));
+        _mm256_add_epi16(v, _mm256_and_si256(dv, mask)));
   }
 }
 
 #endif  // DCS_DENSE_ADD_X86
-
-DenseAdd32Fn resolve32() noexcept {
-#ifdef DCS_DENSE_ADD_X86
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return &dense_add32_avx512;
-  if (__builtin_cpu_supports("avx2")) return &dense_add32_avx2;
-#endif
-  return &dense_add32_portable;
-}
 
 DenseAddFn resolve() noexcept {
 #ifdef DCS_DENSE_ADD_X86
@@ -123,14 +121,28 @@ DenseAddFn resolve() noexcept {
 
 const DenseAddFn dense_add = resolve();
 
-void dense_add32_portable(std::int32_t* bits, std::uint64_t key,
-                          std::int32_t delta) {
+void dense_add16_portable(std::int16_t* bits, std::uint64_t key,
+                          std::int16_t delta) {
   while (key != 0) {
-    bits[lsb_index(key)] += delta;
+    std::int16_t& counter = bits[lsb_index(key)];
+    counter = static_cast<std::int16_t>(counter + delta);
     key &= key - 1;
   }
 }
 
-const DenseAdd32Fn dense_add32 = resolve32();
+std::vector<DenseAdd16Variant> dense_add16_variants() {
+  std::vector<DenseAdd16Variant> variants;
+#ifdef DCS_DENSE_ADD_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512bw"))
+    variants.push_back({"avx512bw", &dense_add16_avx512});
+  if (__builtin_cpu_supports("avx2"))
+    variants.push_back({"avx2", &dense_add16_avx2});
+#endif
+  variants.push_back({"portable", &dense_add16_portable});
+  return variants;
+}
+
+const DenseAdd16Fn dense_add16 = dense_add16_variants().front().fn;
 
 }  // namespace dcs::detail

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/bitops.hpp"
 #include "stream/flow_update.hpp"
@@ -39,19 +40,28 @@ using DenseAddFn = void (*)(std::int64_t* counters, std::uint64_t key,
 extern const DenseAddFn dense_add;
 
 /// The epoch-counter form of dense_add (sketch/epoch_sketch.hpp): add
-/// `delta` to each of the 64 int32 bit counters at `bits` whose bit is set
-/// in `key`. The bucket total lives apart and is not touched. The caller
-/// guarantees no counter leaves int32 range. Resolved once from CPUID to
-/// AVX-512F (4 masked 512-bit adds), AVX2 (8 byte-masked 256-bit adds) or
-/// dense_add32_portable; nullptr only before dynamic initialization.
-using DenseAdd32Fn = void (*)(std::int32_t* bits, std::uint64_t key,
-                              std::int32_t delta);
-extern const DenseAdd32Fn dense_add32;
+/// `delta` to each of the 64 int16 bit counters at `bits` whose bit is set
+/// in `key`. The bucket total lives apart and is not touched. The adds wrap
+/// silently, so the caller guarantees no counter leaves int16 range.
+/// Resolved once from CPUID to the first entry of dense_add16_variants();
+/// nullptr only before dynamic initialization.
+using DenseAdd16Fn = void (*)(std::int16_t* bits, std::uint64_t key,
+                              std::int16_t delta);
+extern const DenseAdd16Fn dense_add16;
 
-/// The set-bit loop behind dense_add32 on machines without the ISA, also
+/// The set-bit loop behind dense_add16 on machines without the ISA, also
 /// used for keys narrower than 64 bits. O(popcount(key)).
-void dense_add32_portable(std::int32_t* bits, std::uint64_t key,
-                          std::int32_t delta);
+void dense_add16_portable(std::int16_t* bits, std::uint64_t key,
+                          std::int16_t delta);
+
+struct DenseAdd16Variant {
+  const char* name;
+  DenseAdd16Fn fn;
+};
+/// Every dense_add16 form compiled in that this CPU can run, fastest first
+/// (AVX-512BW, AVX2, portable); dense_add16 is the first. Probes CPUID on
+/// each call, so it is for tests and benchmarks, not the update path.
+std::vector<DenseAdd16Variant> dense_add16_variants();
 }  // namespace detail
 
 enum class BucketState : std::uint8_t {

@@ -200,7 +200,7 @@ class DistinctCountSketch final : public TopKEstimator {
 
  private:
   /// The agent's epoch form folds into and reads the int64 levels directly
-  /// when its int32 staging spills (sketch/epoch_sketch.hpp).
+  /// when its int16 staging folds or spills (sketch/epoch_sketch.hpp).
   friend class EpochSketch;
 
   std::int64_t* counters_at(int level, int table, std::uint32_t bucket);

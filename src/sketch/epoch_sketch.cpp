@@ -11,16 +11,16 @@
 namespace dcs {
 
 namespace {
-constexpr std::uint64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::uint64_t kInt16Max = std::numeric_limits<std::int16_t>::max();
 }  // namespace
 
 EpochSketch::EpochSketch(DcsParams params)
     : params_(params), hashes_(params) {
   params_.validate();
   // Narrow keys set few bits, where the set-bit loop beats any dense add.
-  add_ = params_.key_bits == 64 && detail::dense_add32 != nullptr
-             ? detail::dense_add32
-             : &detail::dense_add32_portable;
+  add_ = params_.key_bits == 64 && detail::dense_add16 != nullptr
+             ? detail::dense_add16
+             : &detail::dense_add16_portable;
 }
 
 EpochSketch::Level& EpochSketch::staging(int level) {
@@ -47,21 +47,21 @@ void EpochSketch::update_key(PairKey key, int delta) {
   if (obs::recording()) pending_metrics_.record(level, delta);
   const auto magnitude =
       static_cast<std::uint64_t>(std::llabs(static_cast<long long>(delta)));
-  if (magnitude > kInt32Max) {
-    // INT_MIN: no int32 counter can hold it, so it lands in int64 directly.
-    DistinctCountSketch& wide = spill();
+  if (magnitude > kInt16Max) {
+    // No int16 counter may take it, so it lands in int64 directly.
+    spill_level(level);
     for (int j = 0; j < params_.num_tables; ++j)
-      wide.apply_to_table(level, j, key, delta);
+      spill_->apply_to_table(level, j, key, delta);
     return;
   }
-  if (mass_ + magnitude > kInt32Max) fold_into_spill();
-  mass_ += magnitude;
+  if (stage.mass + magnitude > kInt16Max) fold_level(level);
+  stage.mass += static_cast<std::uint32_t>(magnitude);
   for (int j = 0; j < params_.num_tables; ++j) {
     const std::size_t i =
         static_cast<std::size_t>(j) * params_.buckets_per_table +
         hashes_.buckets.bucket_mixed(j, mixed);
     stage.totals[i] += delta;
-    add_(stage.bits[i].counts, key, delta);
+    add_(stage.bits[i].counts, key, static_cast<std::int16_t>(delta));
     stage.dirty[i / 64] |= 1ULL << (i % 64);
   }
 }
@@ -83,7 +83,7 @@ void EpochSketch::drain_level(int level, char* out, bool accumulate) {
          dirty &= dirty - 1) {
       const std::size_t i =
           word * 64 + static_cast<std::size_t>(lsb_index(dirty));
-      std::int32_t* bits = stage.bits[i].counts;
+      std::int16_t* bits = stage.bits[i].counts;
       signature[0] = stage.totals[i];
       stage.totals[i] = 0;
       for (std::size_t b = 0; b < 64; ++b) {
@@ -101,23 +101,17 @@ void EpochSketch::drain_level(int level, char* out, bool accumulate) {
   }
 }
 
-DistinctCountSketch& EpochSketch::spill() {
+std::int64_t* EpochSketch::spill_level(int level) {
   if (spill_ == nullptr)
     spill_ = std::make_unique<DistinctCountSketch>(params_);
-  return *spill_;
+  spill_->ensure_level(level);
+  spilled_ |= 1ULL << level;
+  return spill_->levels_[static_cast<std::size_t>(level)].data();
 }
 
-void EpochSketch::fold_into_spill() {
-  DistinctCountSketch& wide = spill();
-  for (std::uint64_t mask = touched_; mask != 0; mask &= mask - 1) {
-    const int level = lsb_index(mask);
-    wide.ensure_level(level);
-    drain_level(level,
-                reinterpret_cast<char*>(
-                    wide.levels_[static_cast<std::size_t>(level)].data()),
-                true);
-  }
-  mass_ = 0;
+void EpochSketch::fold_level(int level) {
+  drain_level(level, reinterpret_cast<char*>(spill_level(level)), true);
+  levels_[static_cast<std::size_t>(level)].mass = 0;
 }
 
 std::string EpochSketch::seal() {
@@ -131,20 +125,22 @@ std::string EpochSketch::seal() {
     const int level = lsb_index(mask);
     writer.u64(params_.counters_per_level());
     // fill() hands over zeroed bytes: only buckets touched this epoch need
-    // writing, unless the epoch spilled into this level.
+    // writing, unless the level folded into its spill level this epoch.
     writer.fill(level_bytes, [&](char* out) {
-      const bool spilled = spill_ != nullptr && spill_->level_allocated(level);
-      if (spilled)
-        std::memcpy(out,
-                    spill_->levels_[static_cast<std::size_t>(level)].data(),
-                    level_bytes);
+      const bool spilled = (spilled_ >> level) & 1;
+      if (spilled) {
+        std::int64_t* wide =
+            spill_->levels_[static_cast<std::size_t>(level)].data();
+        std::memcpy(out, wide, level_bytes);
+        std::memset(wide, 0, level_bytes);
+      }
       drain_level(level, out, spilled);
     });
+    levels_[static_cast<std::size_t>(level)].mass = 0;
   }
   write_crc_footer(writer);
   touched_ = 0;
-  mass_ = 0;
-  spill_.reset();
+  spilled_ = 0;
   if (obs::recording()) pending_metrics_.flush();
   return blob;
 }

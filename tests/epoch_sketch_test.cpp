@@ -1,14 +1,18 @@
-// EpochSketch is the agent's int32 ingest form of a Distinct-Count Sketch.
+// EpochSketch is the agent's int16 ingest form of a Distinct-Count Sketch.
 // Its contract is byte identity: every sealed epoch must be exactly the blob
 // DistinctCountSketch::serialize writes for a fresh sketch fed the same
 // updates. Checked over a seeded grid of r x s x key_bits x skew with
-// deletions, reused epochs, zero-net levels, empty epochs and int32 spills,
-// plus the int32 signature kernels on their own.
+// deletions, reused epochs, zero-net levels, empty epochs, per-level folds
+// at the int16 bound and spills, plus every int16 signature kernel the CPU
+// can run on its own. An int16 counter that wrapped would leave no trace
+// for a sanitizer (scalar adds are promoted and narrowed, vector adds are
+// modular), so these byte comparisons are the only guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -19,6 +23,7 @@
 #include "sketch/count_signature.hpp"
 #include "sketch/distinct_count_sketch.hpp"
 #include "sketch/epoch_sketch.hpp"
+#include "stream/generator.hpp"
 
 namespace dcs {
 namespace {
@@ -162,8 +167,126 @@ TEST(EpochSketch, StagingIsReusedAcrossEpochs) {
 }
 
 // ---------------------------------------------------------------------------
-// The exactness rule: the int32 staging spills into int64, never wraps.
+// The exactness rule: a level's int16 staging folds into the int64 spill
+// before its sum of |delta| passes INT16_MAX, and never wraps.
 // ---------------------------------------------------------------------------
+constexpr int kInt16Max = INT16_MAX;
+
+/// `count` distinct keys that all hash to `level` under `params`.
+std::vector<PairKey> keys_at_level(const DcsParams& params, int level,
+                                   std::size_t count, std::uint64_t seed) {
+  const DistinctCountSketch probe(params);
+  Xoshiro256 rng(seed);
+  std::vector<PairKey> keys;
+  while (keys.size() < count) {
+    const PairKey key = rng() & key_mask(params.key_bits);
+    if (probe.level_of(key) == level &&
+        std::find(keys.begin(), keys.end(), key) == keys.end())
+      keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(EpochSketch, OneLevelFoldsRepeatedlyFromUnitUpdates) {
+  DcsParams params;
+  params.num_tables = 2;
+  params.buckets_per_table = 16;
+  params.seed = 23;
+  const std::vector<PairKey> keys = keys_at_level(params, 0, 2, 1);
+  Xoshiro256 rng(2);
+  // 4 x INT16_MAX + 5 unit updates on level 0 alone: its mass passes the
+  // bound four times, so the level folds four times in one epoch. Inserts
+  // outnumber deletes 7:1 over two keys, so each key nets about 49k and
+  // its counters end well past INT16_MAX, in the spill.
+  std::vector<KeyUpdate> updates;
+  for (int i = 0; i < 4 * kInt16Max + 5; ++i)
+    updates.push_back({keys[rng.bounded(keys.size())],
+                       rng.bounded(8) == 0 ? -1 : +1});
+  EpochSketch epoch(params);
+  for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+  EXPECT_TRUE(epoch.spilled());
+  EXPECT_EQ(epoch.touched_levels(), 1u);
+  EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
+  EXPECT_FALSE(epoch.spilled());
+}
+
+TEST(EpochSketch, MassExactlyAtInt16MaxThenOneMore) {
+  DcsParams params;
+  params.buckets_per_table = 16;
+  params.seed = 24;
+  const std::vector<PairKey> keys = keys_at_level(params, 2, 2, 3);
+  // Level 2's mass lands exactly on INT16_MAX, and the counters of the
+  // bits both keys share stand at INT16_MAX too: still staged. One more
+  // unit would take them to 32768, so it must fold first.
+  std::vector<KeyUpdate> updates(kInt16Max - 700, {keys[0], +1});
+  updates.insert(updates.end(), 700, {keys[1], +1});
+  EpochSketch epoch(params);
+  for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+  EXPECT_FALSE(epoch.spilled());
+  updates.push_back({keys[0], +1});
+  epoch.update_key(keys[0], +1);
+  EXPECT_TRUE(epoch.spilled());
+  EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
+
+  // The same bound reached from below by deletes: counters at -INT16_MAX.
+  std::vector<KeyUpdate> deletes(kInt16Max + 1, {keys[1], -1});
+  EXPECT_EQ(ingest_and_seal(epoch, deletes), reference_blob(params, deletes));
+}
+
+TEST(EpochSketch, DeltasAtTheInt16Edge) {
+  DcsParams params;
+  params.buckets_per_table = 16;
+  params.seed = 25;
+  const std::vector<PairKey> keys = keys_at_level(params, 1, 3, 4);
+  EpochSketch epoch(params);
+  // +32767 fits: staged, no spill.
+  const std::vector<KeyUpdate> largest = {{keys[0], +kInt16Max}};
+  for (const KeyUpdate& u : largest) epoch.update_key(u.key, u.delta);
+  EXPECT_FALSE(epoch.spilled());
+  EXPECT_EQ(epoch.seal(), reference_blob(params, largest));
+  // The seal reset the level's mass: one more unit stages again.
+  const std::vector<KeyUpdate> unit = {{keys[0], +1}};
+  epoch.update_key(unit[0].key, unit[0].delta);
+  EXPECT_FALSE(epoch.spilled());
+  EXPECT_EQ(epoch.seal(), reference_blob(params, unit));
+  // -32768 fits an int16 but passes the mass bound: straight to the spill.
+  const std::vector<KeyUpdate> smallest = {{keys[0], -kInt16Max - 1}};
+  epoch.update_key(smallest[0].key, smallest[0].delta);
+  EXPECT_TRUE(epoch.spilled());
+  EXPECT_EQ(epoch.seal(), reference_blob(params, smallest));
+  // Mixed: staged edges, a fold between them, and +-32768 spilled directly.
+  const std::vector<KeyUpdate> mixed = {
+      {keys[0], +kInt16Max}, {keys[1], +kInt16Max}, {keys[2], -kInt16Max},
+      {keys[0], +kInt16Max + 1}, {keys[1], -kInt16Max - 1}, {keys[2], +1},
+      {keys[0], -1}};
+  EXPECT_EQ(ingest_and_seal(epoch, mixed), reference_blob(params, mixed));
+  // The spill level is zero again: a small epoch on the same level.
+  const std::vector<KeyUpdate> small = {{keys[1], +1}, {keys[2], +1}};
+  EXPECT_EQ(ingest_and_seal(epoch, small), reference_blob(params, small));
+}
+
+TEST(EpochSketch, PaperEpochsReuseStagingAndSpill) {
+  // The paper's 6.1 stream (Zipf z=1.5 over 50k destinations) in epochs of
+  // 131072 inserts, default parameters: levels 0 and 1 fold mid-epoch, and
+  // every epoch reuses the staging and spill levels of the ones before.
+  const DcsParams params;
+  EpochSketch epoch(params);
+  for (std::uint64_t e = 0; e < 3; ++e) {
+    ZipfWorkloadConfig config;
+    config.u_pairs = 131'072;
+    config.num_destinations = 50'000;
+    config.skew = 1.5;
+    config.seed = 31 + e;
+    const ZipfWorkload workload(config);
+    std::vector<KeyUpdate> updates;
+    for (const FlowUpdate& u : workload.updates())
+      updates.push_back({pack_pair(u.dest, u.source), u.delta});
+    for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+    EXPECT_TRUE(epoch.spilled()) << "epoch " << e;
+    ASSERT_EQ(epoch.seal(), reference_blob(params, updates)) << "epoch " << e;
+  }
+}
+
 TEST(EpochSketch, LargeDeltasSpillAndStayExact) {
   DcsParams params;
   params.buckets_per_table = 16;
@@ -172,7 +295,7 @@ TEST(EpochSketch, LargeDeltasSpillAndStayExact) {
   Xoshiro256 rng(5);
   std::vector<KeyUpdate> updates;
   // A few hot keys take +-1e9 over and over: the same counters reach
-  // several times INT32_MAX, so staging must fold more than once.
+  // several times INT32_MAX, all of it in the spill.
   for (int i = 0; i < 40; ++i) {
     const PairKey key = 1 + rng.bounded(4);
     updates.push_back({key, (i % 5 == 4) ? -1'000'000'000 : 1'000'000'000});
@@ -181,9 +304,10 @@ TEST(EpochSketch, LargeDeltasSpillAndStayExact) {
   for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
   EXPECT_TRUE(epoch.spilled());
   EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
-  // The next epoch starts narrow again.
+  // The next epoch starts narrow again, on the levels that spilled too.
   EXPECT_FALSE(epoch.spilled());
-  const std::vector<KeyUpdate> small = {{7, +1}, {8, +1}, {7, -1}};
+  const std::vector<KeyUpdate> small = {{7, +1}, {8, +1}, {7, -1},
+                                        {1, +1}, {2, +1}, {3, +1}};
   EXPECT_EQ(ingest_and_seal(epoch, small), reference_blob(params, small));
 }
 
@@ -227,47 +351,67 @@ TEST(EpochSketch, InvalidParamsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// The int32 signature kernels.
+// The int16 signature kernels: every variant this CPU runs, not only the one
+// dispatched, against the plain bit loop.
 // ---------------------------------------------------------------------------
 struct alignas(64) Block {
-  std::int32_t counts[64] = {};
+  std::int16_t counts[64] = {};
 };
 
-void reference_add(Block& block, std::uint64_t key, std::int32_t delta) {
-  for (int i = 0; i < 64; ++i)
-    if ((key >> i) & 1) block.counts[i] += delta;
+TEST(EpochSketchKernel, DispatchedIsTheFirstVariant) {
+  const auto variants = detail::dense_add16_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.front().fn, detail::dense_add16);
+  EXPECT_STREQ(variants.back().name, "portable");
+  EXPECT_EQ(variants.back().fn, &detail::dense_add16_portable);
 }
 
-TEST(EpochSketchKernel, PortableAndDispatchedMatchTheBitLoop) {
-  ASSERT_NE(detail::dense_add32, nullptr);
-  Xoshiro256 rng(77);
-  Block expected, portable, dispatched;
+TEST(EpochSketchKernel, EveryVariantMatchesTheBitLoop) {
   const std::uint64_t edge_keys[] = {0, ~0ULL, 1, 1ULL << 63,
                                      0x8000000000000001ULL,
-                                     0x00ff00ff00ff00ffULL};
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = i < 6 ? edge_keys[i] : rng();
-    const auto delta = static_cast<std::int32_t>(rng.bounded(2001)) - 1000;
-    reference_add(expected, key, delta);
-    detail::dense_add32_portable(portable.counts, key, delta);
-    detail::dense_add32(dispatched.counts, key, delta);
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(portable.counts[i], expected.counts[i]) << "bit " << i;
-    EXPECT_EQ(dispatched.counts[i], expected.counts[i]) << "bit " << i;
+                                     0x00ff00ff00ff00ffULL,
+                                     0x0000ffffffff0000ULL,
+                                     0x8000800080008000ULL};
+  constexpr int kEdges = sizeof(edge_keys) / sizeof(edge_keys[0]);
+  for (const detail::DenseAdd16Variant& variant :
+       detail::dense_add16_variants()) {
+    SCOPED_TRACE(variant.name);
+    Xoshiro256 rng(77);
+    Block block;
+    std::int64_t expected[64] = {};
+    for (int i = 0; i < 5000; ++i) {
+      const std::uint64_t key = i < kEdges ? edge_keys[i] : rng();
+      const auto delta = static_cast<std::int16_t>(
+          static_cast<int>(rng.bounded(61)) - 30);
+      for (int b = 0; b < 64; ++b)
+        if ((key >> b) & 1) expected[b] += delta;
+      variant.fn(block.counts, key, delta);
+    }
+    for (int b = 0; b < 64; ++b) {
+      ASSERT_LE(std::abs(expected[b]), kInt16Max);  // the test stays exact
+      EXPECT_EQ(block.counts[b], expected[b]) << "bit " << b;
+    }
   }
 }
 
-TEST(EpochSketchKernel, ExtremeDeltasReachInt32Bounds) {
-  Block portable, dispatched;
-  detail::dense_add32_portable(portable.counts, 0xaaaaaaaaaaaaaaaaULL, INT_MAX);
-  detail::dense_add32(dispatched.counts, 0xaaaaaaaaaaaaaaaaULL, INT_MAX);
-  detail::dense_add32_portable(portable.counts, 0x5555555555555555ULL, INT_MIN);
-  detail::dense_add32(dispatched.counts, 0x5555555555555555ULL, INT_MIN);
-  for (int i = 0; i < 64; ++i) {
-    const std::int32_t want = (i % 2 == 1) ? INT_MAX : INT_MIN;
-    EXPECT_EQ(portable.counts[i], want);
-    EXPECT_EQ(dispatched.counts[i], want);
+TEST(EpochSketchKernel, EveryVariantReachesInt16Bounds) {
+  for (const detail::DenseAdd16Variant& variant :
+       detail::dense_add16_variants()) {
+    SCOPED_TRACE(variant.name);
+    Block block;
+    variant.fn(block.counts, 0xaaaaaaaaaaaaaaaaULL, INT16_MAX);
+    variant.fn(block.counts, 0x5555555555555555ULL, INT16_MIN);
+    for (int b = 0; b < 64; ++b)
+      EXPECT_EQ(block.counts[b], (b % 2 == 1) ? INT16_MAX : INT16_MIN)
+          << "bit " << b;
+    // Back from both bounds by one, and up to them again from there.
+    variant.fn(block.counts, 0xaaaaaaaaaaaaaaaaULL, -1);
+    variant.fn(block.counts, 0x5555555555555555ULL, +1);
+    variant.fn(block.counts, ~0ULL, +1);
+    variant.fn(block.counts, 0x5555555555555555ULL, -2);
+    for (int b = 0; b < 64; ++b)
+      EXPECT_EQ(block.counts[b], (b % 2 == 1) ? INT16_MAX : INT16_MIN)
+          << "bit " << b;
   }
 }
 

@@ -221,13 +221,13 @@ struct RawLeafPeer {
   char buffer[4096];
 
   bool hello(std::uint16_t port, std::uint64_t leaf_id,
-             const DcsParams& params) {
+             const DcsParams& params, PeerRole role = PeerRole::kLeaf) {
     socket = tcp_connect("127.0.0.1", port, 5000);
     if (!socket) return false;
     socket->set_timeouts(10000, 10000);
     Hello hello;
     hello.site_id = leaf_id;
-    hello.role = PeerRole::kLeaf;
+    hello.role = role;
     hello.params_fingerprint = params.fingerprint();
     if (!socket->send_all(encode_frame(MsgType::kHello, hello.encode())))
       return false;
@@ -374,6 +374,61 @@ TEST(FederationRoot, GapLedgerOverflowIsCountedApart) {
     EXPECT_EQ(obs::FederationMetrics::get().gap_fills.value() -
                   gap_fills_before,
               1u);
+  }
+  root.stop();
+}
+
+/// Leaf ids and site ids are both keys of the root's per-site ledger. A
+/// Hello for an id already booked under the other role is refused, in
+/// either connect order, so a leaf never shares a site's accounting.
+TEST(FederationRoot, LeafAndSiteIdsDoNotShareALedger) {
+  CollectorConfig config;
+  config.params = small_params();
+  config.federation_root = true;
+  config.run_detection = false;
+  config.io_timeout_ms = 50;
+  Collector root(config);
+  root.start();
+
+  // Site first: site 7 connects, then a leaf claiming id 7 is refused.
+  RawLeafPeer site;
+  ASSERT_TRUE(site.hello(root.port(), 7, config.params, PeerRole::kSite));
+  RawLeafPeer leaf_as_site;
+  EXPECT_FALSE(leaf_as_site.hello(root.port(), 7, config.params));
+  EXPECT_EQ(root.stats().rejected_hellos, 1u);
+
+  // Leaf first: leaf 1001 connects, then a site claiming id 1001 is refused.
+  RawLeafPeer leaf;
+  ASSERT_TRUE(leaf.hello(root.port(), 1001, config.params));
+  RawLeafPeer site_as_leaf;
+  EXPECT_FALSE(site_as_leaf.hello(root.port(), 1001, config.params,
+                                  PeerRole::kSite));
+  EXPECT_EQ(root.stats().rejected_hellos, 2u);
+
+  // The booked peers keep working: site 7 ships its epoch, the leaf relays
+  // one for origin site 9, and each lands in its own site's ledger.
+  auto ack = site.ship(config.params, 7, 1);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+  ack = leaf.ship(config.params, 9, 1);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kOk);
+
+  // A relayed origin site is booked as a site too; the same role may
+  // Hello again.
+  RawLeafPeer leaf_as_relayed;
+  EXPECT_FALSE(leaf_as_relayed.hello(root.port(), 9, config.params));
+  RawLeafPeer site_again;
+  EXPECT_TRUE(site_again.hello(root.port(), 7, config.params, PeerRole::kSite));
+  RawLeafPeer leaf_again;
+  EXPECT_TRUE(leaf_again.hello(root.port(), 1001, config.params));
+
+  const auto stats = root.stats();
+  EXPECT_EQ(stats.rejected_hellos, 3u);
+  EXPECT_EQ(stats.deltas_merged, 2u);
+  for (const Collector::SiteStats& booked : root.site_stats()) {
+    EXPECT_EQ(booked.epochs_merged, booked.site_id == 1001 ? 0u : 1u)
+        << "site " << booked.site_id;
   }
   root.stop();
 }

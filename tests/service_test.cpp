@@ -736,7 +736,7 @@ void expect_shipped_blobs_match_reference(
   }
 }
 
-/// The agent ingests into int32 epoch counters (EpochSketch), yet every
+/// The agent ingests into int16 epoch counters (EpochSketch), yet every
 /// blob it ships is byte-identical to the int64 sketch's serialization:
 /// default parameters, full epochs, an under-full seal_epoch(), flush().
 TEST(ServiceAgent, ShippedBlobsEqualReferenceSerializeDefaultParams) {
