@@ -55,7 +55,7 @@ struct UplinkPeer {
   std::optional<Ack> read_ack() {
     for (;;) {
       if (auto frame = decoder.next())
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) return std::nullopt;
       decoder.feed(buffer, got.bytes);

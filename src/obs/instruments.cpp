@@ -266,8 +266,8 @@ AgentMetrics& AgentMetrics::get() {
           "(epoch kept spooled; next ship delayed by retry_after_ms)"),
       Registry::global().histogram(
           "dcs_agent_heartbeat_rtt_ns",
-          "Heartbeat send to Ack receipt round-trip time (v3 collectors "
-          "ack heartbeats; a free network-health probe)")};
+          "Heartbeat send to Ack receipt round-trip time (collectors ack "
+          "heartbeats; a free network-health probe)")};
   return instance;
 }
 

@@ -143,9 +143,8 @@ struct CollectorMetrics {
 };
 
 /// src/service epoll ingest reactor: event-loop health. Frame/merge/shed
-/// accounting stays in CollectorMetrics (shared with the threaded path);
-/// these cover what only the reactor has — wakeups, the accept drain, and
-/// reply-path partial writes.
+/// accounting lives in CollectorMetrics; these cover the event loop itself
+/// — wakeups, the accept drain, and reply-path partial writes.
 struct ReactorMetrics {
   Counter& wakeups;             // dcs_reactor_wakeups_total
   Counter& accepts;             // dcs_reactor_accepts_total

@@ -7,8 +7,8 @@
 //       -> received -> admitted -> journaled -> merged
 //       -> detector_evaluated               (collector)
 //
-// Each sealed epoch is stamped with its origin time (wire v3 carries the
-// stamps in SnapshotDelta), every later stage stamps a wall-clock time as
+// Each sealed epoch is stamped with its origin time (SnapshotDelta carries
+// the stamps on the wire), every later stage stamps a wall-clock time as
 // the epoch passes through, and three artifacts fall out:
 //
 //   * per-stage latency histograms, dcs_trace_stage_ns{stage=...} — the
@@ -56,7 +56,7 @@ std::string_view trace_stage_name(TraceStage stage);
 
 /// One epoch's journey through the pipeline. Stage timestamps are Unix
 /// nanoseconds (CLOCK_REALTIME, comparable across processes); 0 means the
-/// stage was not reached / not known (e.g. agent-side stages of a v2 peer).
+/// stage was not reached / not known (e.g. agent-side stages of a relay).
 struct EpochTrace {
   std::uint64_t site_id = 0;
   std::uint64_t epoch = 0;

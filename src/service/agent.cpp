@@ -83,7 +83,7 @@ void SiteAgent::seal_epoch() {
   sealed.updates = current_updates_;
   const std::uint64_t seal_start_ns = obs::steady_now_ns();
   sealed.blob = std::make_shared<const std::string>(current_.seal());
-  // Origin stamps: the wall clock rides the wire (v3) so the collector can
+  // Origin stamps: the wall clock rides the wire so the collector can
   // subtract across processes; the steady stamp is for agent-local spans.
   sealed.seal_unix_ns = obs::unix_now_ns();
   sealed.seal_steady_ns = obs::steady_now_ns();
@@ -226,11 +226,6 @@ bool SiteAgent::run_connection() {
     return true;  // transient — retry with backoff
   };
 
-  // The version the collector frames its replies at; learned from the
-  // Hello ack and used to downgrade our own encoding for a v2 collector
-  // (no delta timestamps, no heartbeat acks to wait for).
-  std::uint8_t peer_version = kWireVersion;
-
   /// Block until one Ack arrives (or timeout/error). nullopt = connection
   /// is dead.
   const auto await_ack = [&]() -> std::optional<Ack> {
@@ -240,8 +235,7 @@ bool SiteAgent::run_connection() {
       if (auto frame = decoder.next()) {
         if (frame->type != MsgType::kAck)
           throw WireError("agent: expected Ack");
-        peer_version = frame->version;
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       if (!running_.load(std::memory_order_acquire) ||
           std::chrono::steady_clock::now() >= deadline)
@@ -285,8 +279,8 @@ bool SiteAgent::run_connection() {
       return true;
     }
     connect_failures_ = 0;
-    // A v4 leaf piggybacks the current map on every Hello ack when ours is
-    // stale; a moved shard re-homes us on the next reconnect.
+    // A sharded leaf piggybacks the current map on every Hello ack when
+    // ours is stale; a moved shard re-homes us on the next reconnect.
     adopt_map(*hello_ack);
 
     {
@@ -342,17 +336,15 @@ bool SiteAgent::run_connection() {
             if (!socket->send_all(
                     encode_frame(MsgType::kHeartbeat, beat.encode())))
               return io_error();
-            if (peer_version >= 3) {
-              // A v3 collector acks heartbeats (epoch 0), turning frames
-              // we already exchange into a free network-RTT probe.
-              const auto beat_ack = await_ack();
-              if (!beat_ack) return io_error();
-              if (beat_ack->epoch != 0)
-                throw WireError("agent: heartbeat ack carries an epoch");
-              if (obs::recording())
-                obs::AgentMetrics::get().heartbeat_rtt_ns.observe(
-                    obs::steady_now_ns() - sent_ns);
-            }
+            // The collector acks heartbeats (epoch 0), turning frames we
+            // already exchange into a free network-RTT probe.
+            const auto beat_ack = await_ack();
+            if (!beat_ack) return io_error();
+            if (beat_ack->epoch != 0)
+              throw WireError("agent: heartbeat ack carries an epoch");
+            if (obs::recording())
+              obs::AgentMetrics::get().heartbeat_rtt_ns.observe(
+                  obs::steady_now_ns() - sent_ns);
           }
           continue;
         }
@@ -368,15 +360,11 @@ bool SiteAgent::run_connection() {
       delta.spool_unix_ns = head->spool_unix_ns;
       delta.ship_unix_ns = obs::unix_now_ns();  // fresh per send attempt
       delta.sketch_blob = *head->blob;
-      // Speak the collector's dialect: a v2 peer gets a v2 payload (no
-      // timestamps) in a v2 frame.
-      const std::uint8_t wire_version =
-          peer_version < kWireVersion ? peer_version : kWireVersion;
       if (obs::recording())
         obs::TraceMetrics::get().observe_span(obs::TraceStage::kShipped,
                                               delta.spool_unix_ns,
                                               delta.ship_unix_ns);
-      if (!socket->send_all(delta.encode_frame(wire_version)))
+      if (!socket->send_all(delta.encode_frame()))
         return io_error();
       const auto ack = await_ack();
       if (!ack) return io_error();

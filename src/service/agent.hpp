@@ -141,7 +141,7 @@ class SiteAgent {
   struct SpooledEpoch {
     std::uint64_t epoch = 0;
     std::uint64_t updates = 0;
-    // Origin stamps carried on the wire (v3) so the collector can compute
+    // Origin stamps carried on the wire so the collector can compute
     // end-to-end freshness for this epoch.
     std::uint64_t seal_unix_ns = 0;
     std::uint64_t seal_steady_ns = 0;

@@ -19,65 +19,11 @@ DistinctCountSketch decode_sketch_blob(std::string_view blob) {
   return DistinctCountSketch::deserialize(reader);
 }
 
+std::string ack_frame(const Ack& ack) {
+  return encode_frame(MsgType::kAck, ack.encode());
+}
+
 }  // namespace
-
-/// One accepted site connection: its socket, decoder, and the thread that
-/// serves it. shared_ptr because stop() (holding conn_mutex_) and the
-/// serving thread both touch it.
-struct Collector::Connection {
-  TcpSocket socket;
-  FrameDecoder decoder;
-  std::thread thread;
-  /// Transport-agnostic protocol state (see wire.hpp) — the same struct
-  /// the reactor keeps per connection, handed to the same handle_frame().
-  PeerState peer;
-  /// Set by serve() on exit so the accept loop can reap the thread.
-  std::atomic<bool> done{false};
-};
-
-/// The reactor's view of the collector: every callback lands in the exact
-/// accounting the threaded serve() loop does, and on_frame delegates to the
-/// shared handle_frame() — the reactor cannot diverge from the oracle
-/// without this adapter diverging, which it has no logic to do.
-class Collector::ReactorSink : public FrameHandler {
- public:
-  explicit ReactorSink(Collector& collector) : collector_(collector) {}
-
-  std::string on_frame(PeerState& peer, MsgType type, std::uint8_t version,
-                       std::string_view payload) override {
-    if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
-    {
-      std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-      ++collector_.totals_.frames;
-    }
-    return collector_.handle_frame(peer, type, version, payload);
-  }
-
-  void on_disconnect(PeerState& peer) override {
-    collector_.note_disconnect(peer);
-  }
-
-  void on_frame_error() override {
-    if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.frame_errors;
-  }
-
-  void on_deadline_drop() override {
-    if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.deadline_drops;
-  }
-
-  void on_idle_reap() override {
-    if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
-    std::lock_guard<std::mutex> lock(collector_.state_mutex_);
-    ++collector_.totals_.idle_reaped;
-  }
-
- private:
-  Collector& collector_;
-};
 
 Collector::Collector(CollectorConfig config)
     : config_(std::move(config)),
@@ -98,7 +44,7 @@ Collector::Collector(CollectorConfig config)
   shard_map_ = config_.shard_map;
   if (config_.checkpoint_every == 0)
     throw std::invalid_argument("Collector: checkpoint_every must be > 0");
-  if (config_.use_reactor && config_.reactor_workers < 1)
+  if (config_.reactor_workers < 1)
     throw std::invalid_argument("Collector: reactor_workers must be >= 1");
   if (config_.admission.max_inflight_bytes != 0) {
     // A single frame larger than the whole budget could never admit and
@@ -127,43 +73,24 @@ void Collector::start() {
                              config_.bind_address + ":" +
                              std::to_string(config_.port));
   listener_ = std::move(*listener);
+  listener_.set_nonblocking(true);
   running_.store(true, std::memory_order_release);
-  if (config_.use_reactor) {
-    listener_.set_nonblocking(true);
-    reactor_sink_ = std::make_unique<ReactorSink>(*this);
-    ReactorConfig reactor_config;
-    reactor_config.workers = config_.reactor_workers;
-    reactor_config.tick_ms = config_.io_timeout_ms;
-    reactor_config.frame_deadline_ms = config_.frame_deadline_ms;
-    reactor_config.idle_timeout_ms = config_.idle_timeout_ms;
-    reactor_config.max_frame_bytes = config_.max_frame_bytes;
-    reactor_ = std::make_unique<Reactor>(reactor_config, *reactor_sink_);
-    reactor_->start(listener_);
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  ReactorConfig reactor_config;
+  reactor_config.workers = config_.reactor_workers;
+  reactor_config.tick_ms = config_.io_timeout_ms;
+  reactor_config.frame_deadline_ms = config_.frame_deadline_ms;
+  reactor_config.idle_timeout_ms = config_.idle_timeout_ms;
+  reactor_config.max_frame_bytes = config_.max_frame_bytes;
+  reactor_ = std::make_unique<Reactor>(reactor_config,
+                                       static_cast<FrameHandler&>(*this));
+  reactor_->start(listener_);
 }
 
 void Collector::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (reactor_) {
-    reactor_->stop();
-    reactor_.reset();
-    reactor_sink_.reset();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  reactor_->stop();
+  reactor_.reset();
   listener_.close();
-  // Shut the sockets down (not close: the serving threads still own the
-  // fds) to unblock their recvs, then join. The fds close when `conns`
-  // drops the last Connection references below, after every join.
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& conn : conns) conn->socket.shutdown();
-  for (auto& conn : conns)
-    if (conn->thread.joinable()) conn->thread.join();
   // Clean shutdown: fold the journal tail into a final checkpoint so the
   // next start replays nothing. Best-effort — the journal already holds
   // every acked delta, so a failed write here loses no data.
@@ -185,110 +112,22 @@ bool Collector::running() const {
 
 std::uint16_t Collector::port() const { return listener_.port(); }
 
-void Collector::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    // Reap connections whose serving thread has finished, so churn (agents
-    // restarting repeatedly) does not accumulate dead threads.
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      std::erase_if(connections_, [](const std::shared_ptr<Connection>& c) {
-        if (!c->done.load(std::memory_order_acquire)) return false;
-        if (c->thread.joinable()) c->thread.join();
-        return true;
-      });
-    }
-    auto socket = listener_.accept(config_.io_timeout_ms);
-    if (!socket) continue;
-    auto conn = std::make_shared<Connection>();
-    conn->socket = std::move(*socket);
-    conn->socket.set_timeouts(
-        static_cast<std::uint64_t>(config_.io_timeout_ms),
-        static_cast<std::uint64_t>(config_.io_timeout_ms));
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      connections_.push_back(conn);
-    }
-    conn->thread = std::thread([this, conn] { serve(conn); });
-  }
+void Collector::on_frame_error() {
+  frame_errors_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
 }
 
-void Collector::serve(std::shared_ptr<Connection> conn) {
-  using Clock = std::chrono::steady_clock;
-  char buffer[64 * 1024];
-  bool failed = false;
-  if (config_.max_frame_bytes != 0)
-    conn->decoder.set_max_payload(config_.max_frame_bytes);
-  // Deadline bookkeeping. frame_start marks when the *oldest incomplete*
-  // frame began arriving and is deliberately not refreshed by later bytes:
-  // a slow-loris peer dribbling one byte per poll hits the deadline just
-  // like one that stalls outright. last_activity is refreshed by any bytes
-  // (heartbeats count) and backs the idle reaper.
-  Clock::time_point last_activity = Clock::now();
-  bool frame_pending = false;
-  Clock::time_point frame_start{};
-  while (running_.load(std::memory_order_acquire)) {
-    const RecvResult got = conn->socket.recv_some(buffer, sizeof buffer);
-    if (got.closed || got.error) break;
-    const Clock::time_point now = Clock::now();
-    if (!got.timed_out && got.bytes > 0) {
-      last_activity = now;
-      if (!frame_pending) {
-        frame_pending = true;
-        frame_start = now;
-      }
-      conn->decoder.feed(buffer, got.bytes);
-      try {
-        while (auto frame = conn->decoder.next_view()) {
-          if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
-          {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            ++totals_.frames;
-          }
-          const std::string ack = handle_frame(conn->peer, frame->type,
-                                               frame->version,
-                                               frame->payload);
-          if (!ack.empty() && !conn->socket.send_all(ack)) {
-            failed = true;
-            break;
-          }
-        }
-        if (conn->decoder.buffered() == 0) frame_pending = false;
-      } catch (const WireError&) {
-        // Malformed frame or payload: the byte stream is unrecoverable.
-        // Count it, drop this connection, keep serving everyone else.
-        if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++totals_.frame_errors;
-        failed = true;
-      }
-      if (failed) break;
-    }
-    if (config_.frame_deadline_ms > 0 && frame_pending &&
-        now - frame_start >
-            std::chrono::milliseconds(config_.frame_deadline_ms)) {
-      if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++totals_.deadline_drops;
-      break;
-    }
-    if (config_.idle_timeout_ms > 0 &&
-        now - last_activity >
-            std::chrono::milliseconds(config_.idle_timeout_ms)) {
-      if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++totals_.idle_reaped;
-      break;
-    }
-  }
-  // Tell the peer now (FIN), but leave the close to whoever destroys the
-  // Connection after this thread is joined — closing here would race with
-  // stop()'s concurrent shutdown on the same fd.
-  conn->socket.shutdown();
-  note_disconnect(conn->peer);
-  conn->done.store(true, std::memory_order_release);
+void Collector::on_deadline_drop() {
+  deadline_drops_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
 }
 
-void Collector::note_disconnect(const PeerState& peer) {
+void Collector::on_idle_reap() {
+  idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
+}
+
+void Collector::on_disconnect(PeerState& peer) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (peer.hello_ok) {
     auto it = sites_.find(peer.site_id);
@@ -302,15 +141,13 @@ void Collector::note_disconnect(const PeerState& peer) {
   state_cv_.notify_all();
 }
 
-std::string Collector::handle_frame(PeerState& peer, MsgType type,
-                                    std::uint8_t version,
-                                    std::string_view payload) {
+std::string Collector::on_frame(PeerState& peer, MsgType type,
+                                std::string_view payload) {
+  frames_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
   switch (type) {
     case MsgType::kHello: {
-      const Hello hello = Hello::decode(payload, version);
-      // Negotiate down to the site's dialect: everything we send back on
-      // this connection is framed at min(ours, theirs).
-      peer.wire_version = version < kWireVersion ? version : kWireVersion;
+      const Hello hello = Hello::decode(payload);
       Ack ack;
       ack.epoch = 0;
       // A leaf uplink relays deltas whose site ids differ from the Hello
@@ -323,34 +160,28 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
           obs::CollectorMetrics::get().rejected_hellos.inc();
         std::lock_guard<std::mutex> lock(state_mutex_);
         ++totals_.rejected_hellos;
-        return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                            peer.wire_version);
+        return ack_frame(ack);
       }
       peer.site_id = hello.site_id;
       peer.role = hello.role;
       std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto reject_locked = [&] {
-        ack.status = AckStatus::kRejected;
-        ++totals_.rejected_hellos;
-        if (obs::recording())
-          obs::CollectorMetrics::get().rejected_hellos.inc();
-        return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                            peer.wire_version);
-      };
       // Leaf shard enforcement: a site the current map assigns to another
-      // leaf is re-homed with kWrongShard + the map (v4), or kRejected for
-      // a downlevel agent that cannot decode a map anyway.
+      // leaf is re-homed with kWrongShard + the map.
       if (config_.leaf_id != 0 && hello.role == PeerRole::kSite &&
           !shard_map_.empty() &&
-          shard_map_.leaf_for(hello.site_id) != config_.leaf_id) {
-        if (peer.wire_version >= 4) return wrong_shard_ack_locked(peer, 0);
-        return reject_locked();
-      }
+          shard_map_.leaf_for(hello.site_id) != config_.leaf_id)
+        return wrong_shard_ack_locked(0);
       // Leaf ids and site ids are both keys of sites_: an id already booked
       // under the other role is refused, or the two would share one ledger.
       const auto [booked, first] =
           peer_roles_.try_emplace(hello.site_id, hello.role);
-      if (!first && booked->second != hello.role) return reject_locked();
+      if (!first && booked->second != hello.role) {
+        ack.status = AckStatus::kRejected;
+        ++totals_.rejected_hellos;
+        if (obs::recording())
+          obs::CollectorMetrics::get().rejected_hellos.inc();
+        return ack_frame(ack);
+      }
       peer.hello_ok = true;
       SiteStats& site = sites_[hello.site_id];
       site.site_id = hello.site_id;
@@ -376,34 +207,22 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
       // site. The agent prunes spooled epochs at or below it instead of
       // re-shipping them after a collector restart.
       ack.epoch = site.last_epoch;
-      // Push the shard map to v4 site agents holding a stale version —
-      // map distribution rides the handshake, no side channel needed.
-      if (peer.wire_version >= 4 && !shard_map_.empty() &&
-          hello.role == PeerRole::kSite) {
+      // Push the shard map to site agents holding a stale version — map
+      // distribution rides the handshake, no side channel needed.
+      if (!shard_map_.empty() && hello.role == PeerRole::kSite) {
         ack.map_version = shard_map_.version();
         if (hello.map_version < shard_map_.version())
           ack.map_blob = shard_map_.encode();
       }
       state_cv_.notify_all();
-      return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                          peer.wire_version);
+      return ack_frame(ack);
     }
     case MsgType::kSnapshotDelta:
-      return handle_delta(peer, version, payload);
-    case MsgType::kHeartbeat: {
+      return handle_delta(peer, payload);
+    case MsgType::kHeartbeat:
       Heartbeat::decode(payload);  // validation; liveness is implicit
-      // v3 sites expect a heartbeat ack (epoch 0) and time it as a network
-      // RTT probe. A v2 site does NOT wait for one — acking would desync
-      // its request/response ack stream, so the gate is the negotiated
-      // version, not ours.
-      if (peer.wire_version >= 3) {
-        Ack ack;
-        ack.epoch = 0;
-        return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                            peer.wire_version);
-      }
-      return {};
-    }
+      // Acked with epoch 0: the site times it as a network RTT probe.
+      return ack_frame(Ack{});
     case MsgType::kAck:
       throw WireError("collector: unexpected Ack from site");
     case MsgType::kBye: {
@@ -417,11 +236,11 @@ std::string Collector::handle_frame(PeerState& peer, MsgType type,
   throw WireError("collector: unhandled message type");
 }
 
-std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
+std::string Collector::handle_delta(PeerState& peer,
                                     std::string_view payload) {
   // The blob stays a view into the frame payload: deserialize, tap and
   // journal all read it in place.
-  const SnapshotDeltaView delta = SnapshotDeltaView::decode(payload, version);
+  const SnapshotDeltaView delta = SnapshotDeltaView::decode(payload);
   if (!peer.hello_ok) throw WireError("collector: delta before Hello");
   // A leaf uplink relays deltas for every site its shard owns: the delta
   // carries the *origin* site id, which legitimately differs from the
@@ -432,8 +251,9 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
   if (delta.epoch == 0) throw WireError("collector: delta epoch must be >= 1");
 
   // Start this epoch's trace. The agent-side stamps arrived on the wire
-  // (zero from a v2 site — the cross-process spans simply don't record);
-  // every collector-side stage stamps as the delta moves through.
+  // (zero when the sender had none — those cross-process spans simply
+  // don't record); every collector-side stage stamps as the delta moves
+  // through.
   obs::EpochTrace trace;
   trace.site_id = delta.site_id;
   trace.epoch = delta.epoch;
@@ -462,13 +282,8 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
     // merged; the attached map re-homes the agent with its spool intact.
     if (config_.leaf_id != 0 && peer.role == PeerRole::kSite &&
         !shard_map_.empty() &&
-        shard_map_.leaf_for(delta.site_id) != config_.leaf_id) {
-      if (peer.wire_version >= 4)
-        return wrong_shard_ack_locked(peer, delta.epoch);
-      ack.status = AckStatus::kRejected;
-      return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                          peer.wire_version);
-    }
+        shard_map_.leaf_for(delta.site_id) != config_.leaf_id)
+      return wrong_shard_ack_locked(delta.epoch);
     SiteStats& site = sites_[delta.site_id];
     site.site_id = delta.site_id;
     if (already_merged_locked(site, delta.epoch)) {
@@ -490,8 +305,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
         if (obs::recording())
           obs::CheckpointMetrics::get().post_recovery_duplicates.inc();
       }
-      return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                          peer.wire_version);
+      return ack_frame(ack);
     }
   }
 
@@ -512,8 +326,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
     ++totals_.shed_deltas;
     totals_.shed_bytes += payload.size();
     ++sites_[delta.site_id].shed_deltas;
-    return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                        peer.wire_version);
+    return ack_frame(ack);
   }
   // Released on every exit from here (ack sent, duplicate race, or a
   // throw on a bad blob) — the budget can never leak.
@@ -547,8 +360,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
     ++site.duplicate_deltas;
     ++totals_.duplicate_deltas;
     if (obs::recording()) obs::CollectorMetrics::get().duplicate_deltas.inc();
-    return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                        peer.wire_version);
+    return ack_frame(ack);
   }
   // Leaf uplink tap, before the durability barrier: if the uplink spool
   // cannot take the delta, shed honestly — the agent keeps it spooled and
@@ -562,8 +374,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
     ++totals_.tap_shed_deltas;
     ++site.shed_deltas;
     if (obs::recording()) obs::FederationMetrics::get().tap_shed_deltas.inc();
-    return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                        peer.wire_version);
+    return ack_frame(ack);
   }
   // Durability barrier: the delta must hit the journal (fsync'd) BEFORE it
   // is merged or acked. If the append fails the connection is dropped
@@ -608,8 +419,7 @@ std::string Collector::handle_delta(PeerState& peer, std::uint8_t version,
     }
   }
   state_cv_.notify_all();
-  return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                      peer.wire_version);
+  return ack_frame(ack);
 }
 
 bool Collector::already_merged_locked(const SiteStats& site,
@@ -625,8 +435,7 @@ bool Collector::already_merged_locked(const SiteStats& site,
          gaps->second.find(epoch) == gaps->second.end();
 }
 
-std::string Collector::wrong_shard_ack_locked(const PeerState& peer,
-                                              std::uint64_t epoch) {
+std::string Collector::wrong_shard_ack_locked(std::uint64_t epoch) {
   Ack ack;
   ack.epoch = epoch;
   ack.status = AckStatus::kWrongShard;
@@ -634,8 +443,7 @@ std::string Collector::wrong_shard_ack_locked(const PeerState& peer,
   ack.map_blob = shard_map_.encode();
   ++totals_.wrong_shard_acks;
   if (obs::recording()) obs::FederationMetrics::get().wrong_shard_acks.inc();
-  return encode_frame(MsgType::kAck, ack.encode(peer.wire_version),
-                      peer.wire_version);
+  return ack_frame(ack);
 }
 
 void Collector::set_shard_map(const ShardMap& map) {
@@ -959,6 +767,10 @@ std::size_t Collector::active_alarm_count() const {
 Collector::Stats Collector::stats() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   Stats out = totals_;
+  out.frames = frames_.load(std::memory_order_relaxed);
+  out.frame_errors = frame_errors_.load(std::memory_order_relaxed);
+  out.deadline_drops = deadline_drops_.load(std::memory_order_relaxed);
+  out.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
   for (const auto& [site_id, gaps] : gap_epochs_)
     out.pending_gap_epochs += gaps.size();
   if (obs::recording())
@@ -968,12 +780,7 @@ Collector::Stats Collector::stats() const {
 }
 
 std::size_t Collector::connection_count() const {
-  if (reactor_) return reactor_->connection_count();
-  std::lock_guard<std::mutex> lock(conn_mutex_);
-  std::size_t live = 0;
-  for (const auto& conn : connections_)
-    if (!conn->done.load(std::memory_order_acquire)) ++live;
-  return live;
+  return reactor_ ? reactor_->connection_count() : 0;
 }
 
 std::uint64_t Collector::inflight_bytes() const {

@@ -5,9 +5,9 @@
 // detector over the merged top-k after every merge.
 //
 // Fault model:
-//   * Site churn never blocks queries — connection handling and the merged
-//     state live behind separate synchronization; a site dying mid-frame
-//     just ends that connection's thread.
+//   * Site churn never blocks queries — connections live on the epoll
+//     reactor's workers (reactor.hpp) and the merged state behind its own
+//     lock; a site dying mid-frame just drops that connection.
 //   * At-least-once delta delivery: a site retransmits un-acked epochs
 //     after reconnecting; the collector dedups by per-site last-merged
 //     epoch, so every epoch is merged exactly once.
@@ -44,7 +44,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "detection/baseline_detector.hpp"
@@ -53,6 +52,7 @@
 #include "service/checkpoint.hpp"
 #include "service/epoch_journal.hpp"
 #include "service/federation/shard_map.hpp"
+#include "service/reactor.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
 #include "sketch/tracking_dcs.hpp"
@@ -165,21 +165,13 @@ struct CollectorConfig {
   /// orphan un-relayed deltas.
   std::function<bool()> checkpoint_gate;
 
-  // --- ingest path (see reactor.hpp) ----------------------------------------
-  /// Serve connections from the epoll reactor instead of one thread per
-  /// connection. Every protocol invariant (dedup, admission, deadlines,
-  /// journal-before-ack, tracing) is identical — both paths call the same
-  /// frame handler — but the reactor scales to 10k+ concurrent agents
-  /// where the threaded path tops out at thread-count scale. The threaded
-  /// path remains the differential-testing oracle.
-  bool use_reactor = false;
-  /// Epoll workers when use_reactor is set (worker 0 also accepts).
+  // --- ingest (see reactor.hpp) ---------------------------------------------
+  /// Epoll workers serving connections (worker 0 also accepts). Must be
+  /// >= 1.
   int reactor_workers = 2;
 };
 
-class Reactor;
-
-class Collector {
+class Collector : private FrameHandler {
  public:
   /// Root mode: pending gap epochs tracked per site. A jump past the bound
   /// books its oldest epochs as dropped (Stats::gap_overflow_epochs).
@@ -197,7 +189,7 @@ class Collector {
     std::uint64_t duplicate_deltas = 0;
     /// Deltas NACKed kRetryLater for this site (admission sheds).
     std::uint64_t shed_deltas = 0;
-    /// Seal stamp of the newest merged delta (0 = v2 site, no stamps) and
+    /// Seal stamp of the newest merged delta (0 = sender had none) and
     /// its end-to-end freshness at detector evaluation — the per-site view
     /// of the detection-freshness SLO, served on /sites.
     std::uint64_t last_seal_unix_ns = 0;
@@ -257,15 +249,15 @@ class Collector {
   };
 
   explicit Collector(CollectorConfig config);
-  ~Collector();
+  ~Collector() override;
 
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// Bind + start the accept loop. Throws std::runtime_error if the bind
+  /// Bind + start the reactor. Throws std::runtime_error if the bind
   /// fails. Idempotent until stop().
   void start();
-  /// Stop accepting, close all connections, join all threads. Merged state
+  /// Stop accepting, close all connections, join the reactor. Merged state
   /// remains queryable after stop().
   void stop();
 
@@ -289,12 +281,12 @@ class Collector {
   /// precomputed ranking baked into the snapshot.
   QueryPublishState query_publish_state(std::size_t top_k) const;
 
-  /// Collector-side epoch traces (full lifecycle for v3 sites), newest
+  /// Collector-side epoch traces (full lifecycle for site agents), newest
   /// last. Reads the lock-free ring — safe during ingest.
   std::vector<obs::EpochTrace> traces() const { return trace_ring_.snapshot(); }
 
-  /// Live entries in the connection table (reaped/done ones excluded).
-  /// Overload tests assert this shrinks after deadline/idle drops.
+  /// Live connections on the reactor. Overload tests assert this shrinks
+  /// after deadline/idle drops.
   std::size_t connection_count() const;
   /// Delta bytes admitted but not yet merged+released — the shipping-path
   /// RSS proxy the chaos harness asserts stays under the admission budget.
@@ -325,31 +317,26 @@ class Collector {
   bool wait_for_byes(std::uint64_t count, int timeout_ms) const;
 
  private:
-  struct Connection;
-  /// FrameHandler adapter the reactor calls into; defined in collector.cpp.
-  class ReactorSink;
-
-  void accept_loop();
-  void serve(std::shared_ptr<Connection> conn);
+  // FrameHandler: the reactor's callbacks. Transport events bump relaxed
+  // atomics, never state_mutex_.
   /// Handle one decoded frame; returns the ack to send (empty = none).
-  /// `version` is the frame's wire version — replies are framed at it.
-  /// Takes the transport-agnostic PeerState so the threaded loop and the
-  /// reactor drive the identical protocol logic.
-  std::string handle_frame(PeerState& peer, MsgType type,
-                           std::uint8_t version, std::string_view payload);
-  std::string handle_delta(PeerState& peer, std::uint8_t version,
-                           std::string_view payload);
-  /// serve()/reactor common exit path: mark the peer's site disconnected.
-  void note_disconnect(const PeerState& peer);
+  std::string on_frame(PeerState& peer, MsgType type,
+                       std::string_view payload) override;
+  /// Mark the peer's site disconnected.
+  void on_disconnect(PeerState& peer) override;
+  void on_frame_error() override;
+  void on_deadline_drop() override;
+  void on_idle_reap() override;
+
+  std::string handle_delta(PeerState& peer, std::string_view payload);
 
   /// True when (site, epoch) was already merged. Caller holds state_mutex_.
   /// Root mode consults the pending-gap set: an epoch below the watermark
   /// that fills a recorded gap is NEW, not a duplicate.
   bool already_merged_locked(const SiteStats& site, std::uint64_t epoch) const;
-  /// Build a kWrongShard ack carrying the current map (v4 peers only).
-  /// Caller holds state_mutex_.
-  std::string wrong_shard_ack_locked(const PeerState& peer,
-                                     std::uint64_t epoch);
+  /// Build a kWrongShard ack carrying the current map. Caller holds
+  /// state_mutex_.
+  std::string wrong_shard_ack_locked(std::uint64_t epoch);
   /// Merge one validated delta into the global state and run detection.
   /// Caller holds state_mutex_. Shared by the live path and journal replay;
   /// `trace` (nullable — replay passes nullptr) receives the merged /
@@ -374,16 +361,16 @@ class Collector {
   AdmissionController admission_;
 
   TcpListener listener_;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
-
-  /// Reactor-mode ingest (config_.use_reactor); null in threaded mode.
-  std::unique_ptr<ReactorSink> reactor_sink_;
+  /// Live between start() and stop().
   std::unique_ptr<Reactor> reactor_;
 
-  /// Connection threads, joined on stop(). Guarded by conn_mutex_.
-  mutable std::mutex conn_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  /// Transport events, copied into Stats by stats(): counted off the state
+  /// lock, so a heartbeat or a frame error never contends with a merge.
+  std::atomic<std::uint64_t> frames_{0};
+  std::atomic<std::uint64_t> frame_errors_{0};
+  std::atomic<std::uint64_t> deadline_drops_{0};
+  std::atomic<std::uint64_t> idle_reaped_{0};
 
   /// Everything below is the merged/detection state, guarded by one mutex:
   /// merges are rare (per epoch per site) and queries are cheap, so a
@@ -421,7 +408,7 @@ class Collector {
   /// re-shipped pre-crash epochs (counted as post_recovery_duplicates).
   std::map<std::uint64_t, std::uint64_t> recovered_watermarks_;
 
-  /// Last N merged-epoch traces; written by connection threads (wait-free),
+  /// Last N merged-epoch traces; written by reactor workers (wait-free),
   /// read by the ops plane without touching state_mutex_.
   obs::TraceRing trace_ring_;
 };

@@ -147,7 +147,6 @@ bool LeafUplink::run_connection() {
     return true;
   };
 
-  std::uint8_t peer_version = kWireVersion;
   const auto await_ack = [&]() -> std::optional<Ack> {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(config_.io_timeout_ms);
@@ -155,8 +154,7 @@ bool LeafUplink::run_connection() {
       if (auto frame = decoder.next()) {
         if (frame->type != MsgType::kAck)
           throw WireError("leaf uplink: expected Ack");
-        peer_version = frame->version;
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       if (!running_.load(std::memory_order_acquire) ||
           std::chrono::steady_clock::now() >= deadline)
@@ -208,12 +206,10 @@ bool LeafUplink::run_connection() {
             if (!socket->send_all(
                     encode_frame(MsgType::kHeartbeat, beat.encode())))
               return io_error();
-            if (peer_version >= 3) {
-              const auto beat_ack = await_ack();
-              if (!beat_ack) return io_error();
-              if (beat_ack->epoch != 0)
-                throw WireError("leaf uplink: heartbeat ack carries an epoch");
-            }
+            const auto beat_ack = await_ack();
+            if (!beat_ack) return io_error();
+            if (beat_ack->epoch != 0)
+              throw WireError("leaf uplink: heartbeat ack carries an epoch");
           }
           continue;
         }
@@ -226,9 +222,7 @@ bool LeafUplink::run_connection() {
       delta.updates = head->updates;
       delta.ship_unix_ns = obs::unix_now_ns();
       delta.sketch_blob = *head->blob;
-      const std::uint8_t wire_version =
-          peer_version < kWireVersion ? peer_version : kWireVersion;
-      if (!socket->send_all(delta.encode_frame(wire_version)))
+      if (!socket->send_all(delta.encode_frame()))
         return io_error();
       const auto ack = await_ack();
       if (!ack) return io_error();

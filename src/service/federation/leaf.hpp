@@ -3,8 +3,8 @@
 // A *leaf* is a full Collector — durability, admission, tracing, the works
 // — that owns one shard of the site population and additionally relays
 // every delta it accepts to the federation root over a single multiplexed
-// uplink connection (wire v4, Hello role = kLeaf). Sketch linearity makes
-// the root's merge of relayed deltas exact, so the root's top-k is
+// uplink connection (Hello role = kLeaf). Sketch linearity makes the
+// root's merge of relayed deltas exact, so the root's top-k is
 // bit-identical to a single collector that saw every site directly.
 //
 // Exactly-once composition across the tiers (the full argument lives in

@@ -29,10 +29,11 @@ struct Reactor::Conn {
   std::string out;
   std::size_t out_off = 0;
   bool want_write = false;
-  /// Deadline bookkeeping, same semantics as the threaded serve() loop:
-  /// frame_start marks when the oldest incomplete frame began arriving and
-  /// is NOT refreshed by later bytes (slow-loris defense); last_activity is
-  /// refreshed by any bytes and backs the idle reaper.
+  /// Deadline bookkeeping (CollectorConfig::frame_deadline_ms and
+  /// idle_timeout_ms): frame_start marks when the oldest incomplete frame
+  /// began arriving and is NOT refreshed by later bytes (slow-loris
+  /// defense); last_activity is refreshed by any bytes and backs the idle
+  /// reaper.
   bool frame_pending = false;
   Clock::time_point frame_start{};
   Clock::time_point last_activity{};
@@ -251,8 +252,8 @@ bool Reactor::read_ready(Worker& worker, Conn& conn) {
     try {
       while (auto frame = conn.decoder.next_view()) {
         ++frames_this_wakeup;
-        const std::string reply = handler_.on_frame(
-            conn.peer, frame->type, frame->version, frame->payload);
+        const std::string reply =
+            handler_.on_frame(conn.peer, frame->type, frame->payload);
         if (!reply.empty()) conn.out.append(reply);
       }
       if (conn.decoder.buffered() == 0) conn.frame_pending = false;

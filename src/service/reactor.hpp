@@ -1,8 +1,6 @@
-// Event-driven ingest front end for the collector: one non-blocking
-// acceptor plus a small epoll worker pool, replacing the thread-per-
-// connection loop that capped concurrent agents at thread-count scale
-// (ROADMAP item 2 — the ingest bottleneck on the road to "millions of
-// sites").
+// Event-driven ingest front end for the collector, and its only transport:
+// one non-blocking acceptor plus a small epoll worker pool, so concurrent
+// agents scale with sockets, not with OS threads.
 //
 // Shape. Each worker owns an epoll instance, an eventfd for cross-thread
 // wakeups, and a private connection table — a connection lives on exactly
@@ -15,11 +13,9 @@
 //
 // Frame reassembly. Sockets are non-blocking; a read wakeup drains
 // recv(2) until EAGAIN, feeding every chunk into that connection's
-// FrameDecoder. The decoder already reassembles frames across arbitrary
-// chunk boundaries — one byte per wakeup, a header split mid-field, or
-// fifty coalesced frames in one read all produce the same frame sequence —
-// so the reactor's state machine is exactly the threaded path's, minus the
-// thread.
+// FrameDecoder. The decoder reassembles frames across arbitrary chunk
+// boundaries — one byte per wakeup, a header split mid-field, or fifty
+// coalesced frames in one read all produce the same frame sequence.
 //
 // Replies. Handler replies append to a per-connection out-buffer flushed
 // with send_some(); a partial write (peer not draining) arms EPOLLOUT and
@@ -27,12 +23,12 @@
 // we owe it acks is bounded by kMaxOutBufferBytes and then dropped — the
 // reply-side analogue of the receive-side frame cap.
 //
-// Overload invariants carried over from the threaded path (see
-// collector.hpp): the frame deadline starts at the first byte of a partial
-// frame and is NOT refreshed by later bytes (slow-loris defense), the idle
-// timeout reaps silent connections, and both are swept per epoll tick so a
-// peer that never triggers another wakeup still dies on time. A WireError
-// from the decoder or the handler tears down only its own connection.
+// Overload invariants (see collector.hpp): the frame deadline starts at the
+// first byte of a partial frame and is NOT refreshed by later bytes
+// (slow-loris defense), the idle timeout reaps silent connections, and both
+// are swept per epoll tick so a peer that never triggers another wakeup
+// still dies on time. A WireError from the decoder or the handler tears
+// down only its own connection.
 #pragma once
 
 #include <atomic>
@@ -70,10 +66,7 @@ struct ReactorConfig {
   std::uint32_t max_frame_bytes = 0;
 };
 
-/// What the reactor calls back into. The collector implements this over the
-/// same handle_frame() the threaded path uses — the handler cannot tell
-/// which transport delivered a frame, which is what makes the two ingest
-/// paths provably equivalent.
+/// What the reactor calls back into; the collector implements it.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
@@ -81,7 +74,6 @@ class FrameHandler {
   /// One complete, CRC-valid frame. Returns the reply bytes to queue
   /// (empty = no reply). Throwing WireError drops this peer only.
   virtual std::string on_frame(PeerState& peer, MsgType type,
-                               std::uint8_t version,
                                std::string_view payload) = 0;
   /// The connection is going away (peer close, error, deadline, idle reap,
   /// or reactor shutdown). Called exactly once per connection, on the

@@ -49,14 +49,12 @@ void decode_payload(std::string_view payload, Fn&& read_fields) {
 /// Build one frame in a single buffer: header, the payload write_payload
 /// appends (about `payload_hint` bytes, to size the buffer once), CRC.
 template <typename Fn>
-std::string build_frame(MsgType type, std::uint8_t version,
-                        std::size_t payload_hint, Fn&& write_payload) {
-  if (version < kMinWireVersion || version > kWireVersion)
-    throw WireError("encode_frame: version outside supported range");
+std::string build_frame(MsgType type, std::size_t payload_hint,
+                        Fn&& write_payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload_hint + kFrameCrcBytes);
   put_u32(frame, kWireMagic);
-  frame.push_back(static_cast<char>(version));
+  frame.push_back(static_cast<char>(kWireVersion));
   frame.push_back(static_cast<char>(type));
   put_u32(frame, 0);  // payload length, patched below
   write_payload(frame);
@@ -71,25 +69,21 @@ std::string build_frame(MsgType type, std::uint8_t version,
 }
 
 template <typename Blob>
-void write_delta(BinaryWriter& w, const BasicSnapshotDelta<Blob>& delta,
-                 std::uint8_t version) {
+void write_delta(BinaryWriter& w, const BasicSnapshotDelta<Blob>& delta) {
   w.u64(delta.site_id);
   w.u64(delta.epoch);
   w.u64(delta.updates);
-  if (version >= 3) {
-    w.u64(delta.seal_unix_ns);
-    w.u64(delta.seal_steady_ns);
-    w.u64(delta.spool_unix_ns);
-    w.u64(delta.ship_unix_ns);
-  }
+  w.u64(delta.seal_unix_ns);
+  w.u64(delta.seal_steady_ns);
+  w.u64(delta.spool_unix_ns);
+  w.u64(delta.ship_unix_ns);
   w.str(delta.sketch_blob);
 }
 
 }  // namespace
 
-std::string encode_frame(MsgType type, std::string_view payload,
-                         std::uint8_t version) {
-  return build_frame(type, version, payload.size(),
+std::string encode_frame(MsgType type, std::string_view payload) {
+  return build_frame(type, payload.size(),
                      [&](std::string& frame) { frame.append(payload); });
 }
 
@@ -114,8 +108,7 @@ std::optional<FrameView> FrameDecoder::next_view() {
   const std::size_t available = buffer_.size() - consumed_;
   if (available < kFrameHeaderBytes) return std::nullopt;
   if (get_u32(head) != kWireMagic) throw WireError("frame: bad magic");
-  const auto version = static_cast<std::uint8_t>(head[4]);
-  if (version < kMinWireVersion || version > kWireVersion)
+  if (static_cast<std::uint8_t>(head[4]) != kWireVersion)
     throw WireError("frame: unsupported version");
   const auto type = static_cast<std::uint8_t>(head[5]);
   if (!valid_type(type)) throw WireError("frame: unknown message type");
@@ -130,25 +123,23 @@ std::optional<FrameView> FrameDecoder::next_view() {
       crc32(head + 4, kFrameHeaderBytes - 4 + payload_len);
   if (expected != computed) throw WireError("frame: CRC mismatch");
   consumed_ += total;
-  return FrameView{static_cast<MsgType>(type), version,
+  return FrameView{static_cast<MsgType>(type), kWireVersion,
                    std::string_view(head + kFrameHeaderBytes, payload_len)};
 }
 
-std::string Hello::encode(std::uint8_t version) const {
+std::string Hello::encode() const {
   return encode_payload([&](BinaryWriter& w) {
     w.u64(site_id);
     w.u64(params_fingerprint);
     w.u64(epoch_updates);
     w.u64(first_epoch);
     w.u64(dropped_epochs);
-    if (version >= 4) {
-      w.u8(static_cast<std::uint8_t>(role));
-      w.u32(map_version);
-    }
+    w.u8(static_cast<std::uint8_t>(role));
+    w.u32(map_version);
   });
 }
 
-Hello Hello::decode(std::string_view payload, std::uint8_t version) {
+Hello Hello::decode(std::string_view payload) {
   Hello hello;
   decode_payload(payload, [&](BinaryReader& r) {
     hello.site_id = r.u64();
@@ -156,47 +147,44 @@ Hello Hello::decode(std::string_view payload, std::uint8_t version) {
     hello.epoch_updates = r.u64();
     hello.first_epoch = r.u64();
     hello.dropped_epochs = r.u64();
-    if (version >= 4) {
-      const std::uint8_t role = r.u8();
-      if (role > static_cast<std::uint8_t>(PeerRole::kLeaf))
-        throw WireError("hello: unknown role");
-      hello.role = static_cast<PeerRole>(role);
-      hello.map_version = r.u32();
-    }
+    const std::uint8_t role = r.u8();
+    if (role > static_cast<std::uint8_t>(PeerRole::kLeaf))
+      throw WireError("hello: unknown role");
+    hello.role = static_cast<PeerRole>(role);
+    hello.map_version = r.u32();
   });
   return hello;
 }
 
 template <typename Blob>
-std::string BasicSnapshotDelta<Blob>::encode(std::uint8_t version) const {
-  return encode_payload(
-      [&](BinaryWriter& w) { write_delta(w, *this, version); });
+std::string BasicSnapshotDelta<Blob>::encode() const {
+  return encode_payload([&](BinaryWriter& w) { write_delta(w, *this); });
 }
 
 template <typename Blob>
-std::string BasicSnapshotDelta<Blob>::encode_frame(std::uint8_t version) const {
+std::string BasicSnapshotDelta<Blob>::encode_frame() const {
   // The fixed fields add at most 64 bytes to the blob.
-  return build_frame(MsgType::kSnapshotDelta, version, sketch_blob.size() + 64,
+  return build_frame(MsgType::kSnapshotDelta, sketch_blob.size() + 64,
                      [&](std::string& frame) {
                        BinaryWriter w(frame);
-                       write_delta(w, *this, version);
+                       write_delta(w, *this);
                      });
 }
 
 template <typename Blob>
 BasicSnapshotDelta<Blob> BasicSnapshotDelta<Blob>::decode(
     std::string_view payload, std::uint8_t version) {
+  if (version != kWireVersion)
+    throw WireError("snapshot delta: unsupported version");
   BasicSnapshotDelta delta;
   decode_payload(payload, [&](BinaryReader& r) {
     delta.site_id = r.u64();
     delta.epoch = r.u64();
     delta.updates = r.u64();
-    if (version >= 3) {
-      delta.seal_unix_ns = r.u64();
-      delta.seal_steady_ns = r.u64();
-      delta.spool_unix_ns = r.u64();
-      delta.ship_unix_ns = r.u64();
-    }
+    delta.seal_unix_ns = r.u64();
+    delta.seal_steady_ns = r.u64();
+    delta.spool_unix_ns = r.u64();
+    delta.ship_unix_ns = r.u64();
     delta.sketch_blob = Blob(r.str_view());
   });
   return delta;
@@ -225,34 +213,27 @@ Heartbeat Heartbeat::decode(std::string_view payload) {
   return heartbeat;
 }
 
-std::string Ack::encode(std::uint8_t version) const {
+std::string Ack::encode() const {
   return encode_payload([&](BinaryWriter& w) {
     w.u64(epoch);
     w.u8(static_cast<std::uint8_t>(status));
     w.u32(retry_after_ms);
-    if (version >= 4) {
-      w.u32(map_version);
-      w.str(map_blob);
-    }
+    w.u32(map_version);
+    w.str(map_blob);
   });
 }
 
-Ack Ack::decode(std::string_view payload, std::uint8_t version) {
+Ack Ack::decode(std::string_view payload) {
   Ack ack;
   decode_payload(payload, [&](BinaryReader& r) {
     ack.epoch = r.u64();
     const std::uint8_t status = r.u8();
-    // kWrongShard needs the map fields to be actionable, so it is v4-only;
-    // at v2/v3 the same byte is a protocol violation.
-    const auto max_status = static_cast<std::uint8_t>(
-        version >= 4 ? AckStatus::kWrongShard : AckStatus::kRetryLater);
-    if (status > max_status) throw WireError("ack: unknown status");
+    if (status > static_cast<std::uint8_t>(AckStatus::kWrongShard))
+      throw WireError("ack: unknown status");
     ack.status = static_cast<AckStatus>(status);
     ack.retry_after_ms = r.u32();
-    if (version >= 4) {
-      ack.map_version = r.u32();
-      ack.map_blob = r.str();
-    }
+    ack.map_version = r.u32();
+    ack.map_blob = r.str();
   });
   return ack;
 }

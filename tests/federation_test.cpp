@@ -171,21 +171,16 @@ TEST(FederationShardMap, CollectorOnlyAcceptsStrictlyNewerMaps) {
   EXPECT_EQ(collector.stats().reshards, 2u);
 }
 
-// --- wire v4 -----------------------------------------------------------------
+// --- federation wire fields --------------------------------------------------
 
 TEST(FederationWire, HelloCarriesRoleAndMapVersionAtV4Only) {
   Hello hello;
   hello.site_id = 9;
   hello.role = PeerRole::kLeaf;
   hello.map_version = 5;
-  const Hello v4 = Hello::decode(hello.encode(4), 4);
-  EXPECT_EQ(v4.role, PeerRole::kLeaf);
-  EXPECT_EQ(v4.map_version, 5u);
-  // v3 framing omits the fields; a decoder sees pre-federation defaults.
-  const Hello v3 = Hello::decode(hello.encode(3), 3);
-  EXPECT_EQ(v3.role, PeerRole::kSite);
-  EXPECT_EQ(v3.map_version, 0u);
-  EXPECT_LT(hello.encode(3).size(), hello.encode(4).size());
+  const Hello back = Hello::decode(hello.encode());
+  EXPECT_EQ(back.role, PeerRole::kLeaf);
+  EXPECT_EQ(back.map_version, 5u);
 }
 
 TEST(FederationWire, AckCarriesTheShardMapAtV4Only) {
@@ -194,20 +189,19 @@ TEST(FederationWire, AckCarriesTheShardMapAtV4Only) {
   ack.status = AckStatus::kWrongShard;
   ack.map_version = 2;
   ack.map_blob = ShardMap::build(2, make_leaves(3)).encode();
-  const Ack v4 = Ack::decode(ack.encode(4), 4);
-  EXPECT_EQ(v4.status, AckStatus::kWrongShard);
-  EXPECT_EQ(v4.map_version, 2u);
-  const ShardMap pushed = ShardMap::decode(v4.map_blob);
+  const Ack back = Ack::decode(ack.encode());
+  EXPECT_EQ(back.status, AckStatus::kWrongShard);
+  EXPECT_EQ(back.map_version, 2u);
+  const ShardMap pushed = ShardMap::decode(back.map_blob);
   EXPECT_EQ(pushed.version(), 2u);
   EXPECT_EQ(pushed.leaves().size(), 3u);
-  // v3 framing drops the map fields entirely — no oversized acks to
-  // downlevel peers, and kWrongShard itself is never sent to them.
+  // Without a map attached the ack stays small — delta acks on the hot
+  // path carry only the empty map fields.
   Ack plain = ack;
   plain.status = AckStatus::kOk;
-  const Ack v3 = Ack::decode(plain.encode(3), 3);
-  EXPECT_EQ(v3.map_version, 0u);
-  EXPECT_TRUE(v3.map_blob.empty());
-  EXPECT_LT(plain.encode(3).size(), plain.encode(4).size());
+  plain.map_blob.clear();
+  EXPECT_LT(plain.encode().size(), ack.encode().size());
+  EXPECT_TRUE(Ack::decode(plain.encode()).map_blob.empty());
 }
 
 // --- root gap ledger ---------------------------------------------------------
@@ -255,7 +249,7 @@ struct RawLeafPeer {
     for (;;) {
       if (auto frame = decoder.next()) {
         if (frame->type != MsgType::kAck) return std::nullopt;
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) return std::nullopt;

@@ -1,14 +1,15 @@
-// Differential equivalence: the epoll reactor ingest path vs the threaded
-// thread-per-connection oracle (PR 3), both vs the single-sketch reference.
+// Differential equivalence: the collector's epoll reactor ingest vs the
+// single-sketch reference.
 //
 // Sketch linearity makes merge order irrelevant, so every sketch-derived
 // answer — the merged sketch bytes, top-k, per-group frequencies, the
 // distinct-pairs estimate — and every per-site epoch watermark must be
-// BIT-IDENTICAL no matter which transport carried the deltas or how they
-// interleaved. An N-agent scenario grid is shipped through both modes and
-// compared answer by answer; a second battery drives the reactor with raw
-// sockets to pin the protocol behaviours (dedup acks, gap accounting,
-// version-gated heartbeat acks) that the grid can't observe from outside.
+// BIT-IDENTICAL to one local sketch over the concatenated stream, however
+// the deltas interleaved on the wire and however many reactor workers
+// carried them. An N-agent scenario grid is compared answer by answer; a
+// second battery drives the reactor with raw sockets to pin the protocol
+// behaviours (dedup acks, gap accounting, protocol-order errors) that the
+// grid can't observe from outside.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,11 +39,10 @@ DcsParams small_params() {
   return params;
 }
 
-CollectorConfig collector_config(bool use_reactor, int workers = 2) {
+CollectorConfig collector_config(int workers = 2) {
   CollectorConfig config;
   config.params = small_params();
   config.io_timeout_ms = 50;  // keep stop() fast in tests
-  config.use_reactor = use_reactor;
   config.reactor_workers = workers;
   return config;
 }
@@ -177,10 +177,9 @@ void expect_identical(const IngestOutcome& got, const IngestOutcome& want,
 
 // --- the differential grid --------------------------------------------------
 
-/// N agents x workload scenarios through BOTH ingest paths: every answer the
-/// collector can give must be bit-identical across threaded mode, reactor
-/// mode, and the single-sketch reference.
-TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
+/// N agents x workload scenarios: every answer the collector can give must
+/// be bit-identical to the single-sketch reference.
+TEST(ReactorEquivalence, ScenarioGridMatchesReferenceBitForBit) {
   struct Scenario {
     int sites;
     std::uint64_t pairs;
@@ -195,15 +194,11 @@ TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
     const auto updates = zipf_updates(scenario.pairs, scenario.seed);
     const IngestOutcome reference =
         reference_outcome(updates, scenario.sites);
-    const IngestOutcome threaded = run_scenario(
-        collector_config(/*use_reactor=*/false), scenario.sites, updates);
-    const IngestOutcome reactor = run_scenario(
-        collector_config(/*use_reactor=*/true), scenario.sites, updates);
+    const IngestOutcome reactor =
+        run_scenario(collector_config(), scenario.sites, updates);
     const std::string label = "sites=" + std::to_string(scenario.sites) +
                               " pairs=" + std::to_string(scenario.pairs);
-    expect_identical(threaded, reference, "threaded vs reference " + label);
     expect_identical(reactor, reference, "reactor vs reference " + label);
-    expect_identical(reactor, threaded, "reactor vs threaded " + label);
   }
 }
 
@@ -213,10 +208,10 @@ TEST(ReactorEquivalence, ScenarioGridMatchesThreadedOracleBitForBit) {
 TEST(ReactorEquivalence, WorkerCountDoesNotChangeAnswers) {
   const auto updates = zipf_updates(4000, 7);
   const IngestOutcome reference = reference_outcome(updates, 4);
-  const IngestOutcome one = run_scenario(
-      collector_config(/*use_reactor=*/true, /*workers=*/1), 4, updates);
-  const IngestOutcome four = run_scenario(
-      collector_config(/*use_reactor=*/true, /*workers=*/4), 4, updates);
+  const IngestOutcome one =
+      run_scenario(collector_config(/*workers=*/1), 4, updates);
+  const IngestOutcome four =
+      run_scenario(collector_config(/*workers=*/4), 4, updates);
   expect_identical(one, reference, "1 worker vs reference");
   expect_identical(four, reference, "4 workers vs reference");
   expect_identical(four, one, "4 workers vs 1 worker");
@@ -239,7 +234,7 @@ struct RawClient {
     for (;;) {
       if (auto frame = decoder.next()) {
         EXPECT_EQ(frame->type, MsgType::kAck);
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) return std::nullopt;
@@ -257,8 +252,7 @@ struct RawClient {
   }
 };
 
-std::string delta_frame(std::uint64_t site, std::uint64_t epoch,
-                        std::uint8_t version = kWireVersion) {
+std::string delta_frame(std::uint64_t site, std::uint64_t epoch) {
   DistinctCountSketch sketch(small_params());
   sketch.update(static_cast<Addr>(epoch), static_cast<Addr>(site * 100), +1);
   SnapshotDelta delta;
@@ -266,22 +260,21 @@ std::string delta_frame(std::uint64_t site, std::uint64_t epoch,
   delta.epoch = epoch;
   delta.updates = 1;
   delta.sketch_blob = sketch_bytes(sketch);
-  return encode_frame(MsgType::kSnapshotDelta, delta.encode(version), version);
+  return encode_frame(MsgType::kSnapshotDelta, delta.encode());
 }
 
-std::string hello_frame(std::uint64_t site, std::uint64_t first_epoch = 1,
-                        std::uint8_t version = kWireVersion) {
+std::string hello_frame(std::uint64_t site, std::uint64_t first_epoch = 1) {
   Hello hello;
   hello.site_id = site;
   hello.params_fingerprint = small_params().fingerprint();
   hello.first_epoch = first_epoch;
-  return encode_frame(MsgType::kHello, hello.encode(version), version);
+  return encode_frame(MsgType::kHello, hello.encode());
 }
 
 /// The exactly-once contract on the reactor path: a retransmitted epoch is
 /// acked kDuplicate and merged once.
 TEST(ReactorEquivalence, DuplicateDeltaAckedAsDuplicate) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
@@ -311,9 +304,9 @@ TEST(ReactorEquivalence, DuplicateDeltaAckedAsDuplicate) {
 }
 
 /// Hello-resume gap accounting: a site resuming above last_epoch+1 gets the
-/// gap counted as dropped epochs, same as the threaded path.
+/// gap counted as dropped epochs.
 TEST(ReactorEquivalence, HelloResumeGapIsAccounted) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
@@ -341,50 +334,10 @@ TEST(ReactorEquivalence, HelloResumeGapIsAccounted) {
   collector.stop();
 }
 
-/// Heartbeat acks are gated on the negotiated version on the reactor path
-/// too: a v3 site gets an ack per heartbeat, a v2 site gets none (an ack
-/// would desync its request/response stream).
-TEST(ReactorEquivalence, HeartbeatAckGatedOnNegotiatedVersion) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
-  config.run_detection = false;
-  Collector collector(config);
-  collector.start();
-
-  {
-    RawClient v3(collector.port());
-    ASSERT_TRUE(v3.ok());
-    ASSERT_TRUE(v3.send(hello_frame(1)));
-    ASSERT_TRUE(v3.read_ack().has_value());
-    Heartbeat beat;
-    beat.site_id = 1;
-    ASSERT_TRUE(v3.send(encode_frame(MsgType::kHeartbeat, beat.encode())));
-    auto ack = v3.read_ack();
-    ASSERT_TRUE(ack.has_value());
-    EXPECT_EQ(ack->epoch, 0u);
-  }
-  {
-    RawClient v2(collector.port());
-    ASSERT_TRUE(v2.ok());
-    ASSERT_TRUE(v2.send(hello_frame(2, 1, /*version=*/2)));
-    ASSERT_TRUE(v2.read_ack().has_value());
-    Heartbeat beat;
-    beat.site_id = 2;
-    ASSERT_TRUE(
-        v2.send(encode_frame(MsgType::kHeartbeat, beat.encode(), 2)));
-    // No heartbeat ack may arrive: the next ack must belong to the delta.
-    ASSERT_TRUE(v2.send(delta_frame(2, 1, /*version=*/2)));
-    auto ack = v2.read_ack();
-    ASSERT_TRUE(ack.has_value());
-    EXPECT_EQ(ack->epoch, 1u);
-    EXPECT_EQ(ack->status, AckStatus::kOk);
-  }
-  collector.stop();
-}
-
 /// Protocol-order violation on the reactor path: a delta before Hello is a
 /// WireError — connection dropped, frame_errors bumped, nothing merged.
 TEST(ReactorEquivalence, DeltaBeforeHelloDropsConnection) {
-  CollectorConfig config = collector_config(/*use_reactor=*/true);
+  CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();

@@ -40,7 +40,6 @@ CollectorConfig reactor_config() {
   CollectorConfig config;
   config.params = small_params();
   config.io_timeout_ms = 20;
-  config.use_reactor = true;
   config.reactor_workers = 2;
   config.run_detection = false;
   return config;
@@ -92,7 +91,7 @@ struct RawClient {
     for (;;) {
       if (auto frame = decoder.next()) {
         EXPECT_EQ(frame->type, MsgType::kAck);
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) return std::nullopt;
@@ -417,7 +416,7 @@ TEST(ReactorFraming, AckBackpressureSurvivesPartialWrites) {
   for (int i = 0; i < kFloods; ++i) flood += frame;
   ASSERT_TRUE(client.send(flood));  // no reads until the whole flood is sent
 
-  // Now drain: exactly kFloods acks (v3 heartbeats are acked), all valid.
+  // Now drain: exactly kFloods acks (heartbeats are acked), all valid.
   for (int i = 0; i < kFloods; ++i) {
     auto ack = client.read_ack();
     ASSERT_TRUE(ack.has_value()) << "ack " << i << " lost under backpressure";

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -120,14 +121,6 @@ TEST(WireFraming, RejectsMalformedFrames) {
   {
     std::string bad = good;
     bad[0] ^= 0x01;
-    FrameDecoder decoder;
-    decoder.feed(bad.data(), bad.size());
-    EXPECT_THROW(decoder.next(), WireError);
-  }
-  // Unsupported version.
-  {
-    std::string bad = good;
-    bad[4] = 99;
     FrameDecoder decoder;
     decoder.feed(bad.data(), bad.size());
     EXPECT_THROW(decoder.next(), WireError);
@@ -314,7 +307,7 @@ TEST(WireFraming, BlobFlipUnderARecomputedFrameCrcFailsTheSketchFooter) {
     const auto view = decoder.next_view();
     ASSERT_TRUE(view.has_value()) << "the frame CRC covers the tampered blob";
     const SnapshotDeltaView received =
-        SnapshotDeltaView::decode(view->payload, view->version);
+        SnapshotDeltaView::decode(view->payload);
     BinaryReader reader(received.sketch_blob);
     EXPECT_THROW(DistinctCountSketch::deserialize(reader), SerializeError)
         << "blob offset " << offset;
@@ -358,7 +351,7 @@ TEST(ServiceLoopback, LargeCorruptBlobIsRejectedAndIntactOneMerges) {
     std::optional<Ack> last;
     for (;;) {
       while (auto reply = decoder.next())
-        last = Ack::decode(reply->payload, reply->version);
+        last = Ack::decode(reply->payload);
       if (last && last->epoch == delta.epoch) return last;
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.closed || got.error || got.bytes == 0) return std::nullopt;
@@ -507,7 +500,7 @@ TEST(ServiceLoopback, DuplicateDeltaMergesExactlyOnce) {
     for (;;) {
       if (auto frame = decoder.next()) {
         EXPECT_EQ(frame->type, MsgType::kAck);
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) {
@@ -838,7 +831,7 @@ TEST(ServiceRecovery, ReshippedPreCheckpointEpochsAreAckedNotRemerged) {
       for (;;) {
         if (auto frame = decoder.next()) {
           EXPECT_EQ(frame->type, MsgType::kAck);
-          return Ack::decode(frame->payload, frame->version);
+          return Ack::decode(frame->payload);
         }
         const RecvResult got = socket->recv_some(buffer, sizeof buffer);
         if (got.bytes == 0) {
@@ -1154,7 +1147,7 @@ TEST(ServiceOverload, HeartbeatFloodNeitherStallsNorKills) {
     for (;;) {
       if (auto frame = decoder.next()) {
         EXPECT_EQ(frame->type, MsgType::kAck);
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) {
@@ -1201,7 +1194,7 @@ TEST(ServiceOverload, HeartbeatFloodNeitherStallsNorKills) {
     ship.sketch_blob = std::move(out).str();
     ASSERT_TRUE(
         socket->send_all(encode_frame(MsgType::kSnapshotDelta, ship.encode())));
-    // Each v3 heartbeat is acked with epoch 0; the delta ack (epoch >= 1)
+    // Each heartbeat is acked with epoch 0; the delta ack (epoch >= 1)
     // arrives after every frame of the burst was processed in order.
     Ack ack;
     do {
@@ -1239,7 +1232,7 @@ TEST(ServiceOverload, ShedDeltasAreNackedAndReshippedExactlyOnce) {
   char buffer[4096];
   const auto read_ack = [&]() -> Ack {
     for (;;) {
-      if (auto frame = decoder.next()) return Ack::decode(frame->payload, frame->version);
+      if (auto frame = decoder.next()) return Ack::decode(frame->payload);
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) {
         ADD_FAILURE() << "connection lost awaiting ack";
@@ -1338,28 +1331,45 @@ TEST(ServiceOverload, AgentBacksOffOnNackWithoutSpillingItsSpool) {
   collector.stop();
 }
 
-// --- wire version negotiation (v2 <-> v3) -----------------------------------
+// --- wire version: kWireVersion only ---------------------------------------
+
+/// `frame` re-stamped with another version byte, its CRC recomputed, so the
+/// version is the only thing wrong with the result.
+std::string with_version(std::string frame, std::uint8_t version) {
+  frame[4] = static_cast<char>(version);
+  const std::uint32_t crc = crc32(frame.data() + 4, frame.size() - 8);
+  std::memcpy(frame.data() + frame.size() - 4, &crc, sizeof crc);
+  return frame;
+}
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char byte : bytes) {
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
 
 TEST(WireVersioning, FrameCarriesItsVersionAndRejectsOutOfRange) {
-  const std::string beat = Heartbeat{}.encode();
+  const std::string beat =
+      encode_frame(MsgType::kHeartbeat, Heartbeat{}.encode());
   FrameDecoder decoder;
-
-  const std::string v2 = encode_frame(MsgType::kHeartbeat, beat, 2);
-  decoder.feed(v2.data(), v2.size());
-  auto frame = decoder.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->version, 2);
-
-  const std::string v3 = encode_frame(MsgType::kHeartbeat, beat);
-  decoder.feed(v3.data(), v3.size());
-  frame = decoder.next();
+  decoder.feed(beat.data(), beat.size());
+  const auto frame = decoder.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->version, kWireVersion);
 
-  EXPECT_THROW(encode_frame(MsgType::kHeartbeat, beat, 1), WireError);
-  EXPECT_THROW(encode_frame(MsgType::kHeartbeat, beat,
-                            static_cast<std::uint8_t>(kWireVersion + 1)),
-               WireError);
+  // Any other version byte is a frame error even under a valid CRC — the v2
+  // and v3 layouts included.
+  for (const int version : {0, 1, 2, 3, kWireVersion + 1, 255}) {
+    const std::string bad =
+        with_version(beat, static_cast<std::uint8_t>(version));
+    FrameDecoder fresh;
+    fresh.feed(bad.data(), bad.size());
+    EXPECT_THROW(fresh.next(), WireError) << "version " << version;
+  }
 }
 
 TEST(WireVersioning, SnapshotDeltaTimestampsAreV3Only) {
@@ -1373,94 +1383,123 @@ TEST(WireVersioning, SnapshotDeltaTimestampsAreV3Only) {
   delta.ship_unix_ns = 444;
   delta.sketch_blob = "blobbytes";
 
-  // v3 payloads round-trip every stamp.
-  const SnapshotDelta back3 = SnapshotDelta::decode(delta.encode());
-  EXPECT_EQ(back3.seal_unix_ns, 111u);
-  EXPECT_EQ(back3.seal_steady_ns, 222u);
-  EXPECT_EQ(back3.spool_unix_ns, 333u);
-  EXPECT_EQ(back3.ship_unix_ns, 444u);
-  EXPECT_EQ(back3.sketch_blob, "blobbytes");
+  // Payloads round-trip every stamp.
+  const SnapshotDelta back = SnapshotDelta::decode(delta.encode());
+  EXPECT_EQ(back.seal_unix_ns, 111u);
+  EXPECT_EQ(back.seal_steady_ns, 222u);
+  EXPECT_EQ(back.spool_unix_ns, 333u);
+  EXPECT_EQ(back.ship_unix_ns, 444u);
+  EXPECT_EQ(back.sketch_blob, "blobbytes");
 
-  // A v2 payload is the legacy layout: shorter, no stamps on decode.
-  const std::string v2_payload = delta.encode(2);
-  EXPECT_EQ(delta.encode().size(), v2_payload.size() + 4 * 8);
-  const SnapshotDelta back2 = SnapshotDelta::decode(v2_payload, 2);
-  EXPECT_EQ(back2.site_id, 4u);
-  EXPECT_EQ(back2.epoch, 11u);
-  EXPECT_EQ(back2.updates, 256u);
-  EXPECT_EQ(back2.seal_unix_ns, 0u);
-  EXPECT_EQ(back2.sketch_blob, "blobbytes");
-
-  // Misreading a v2 payload with the v3 layout must fail loudly, not
-  // produce a silently corrupt delta.
-  EXPECT_ANY_THROW(SnapshotDelta::decode(v2_payload, 3));
+  // A payload handed in with any other frame version is refused.
+  EXPECT_THROW(SnapshotDelta::decode(delta.encode(), 3), WireError);
 }
 
-/// A legacy v2 agent (no timestamps, no heartbeat-ack expectation) against a
-/// v3 collector: the collector must answer in v2 frames, merge the v2 delta,
-/// and stay silent on v2 heartbeats — the exact v2 Ack contract.
-TEST(WireVersioning, V2PeerInteroperatesWithV3Collector) {
+/// Every message's frame, byte for byte: the v4 contract deployed peers
+/// decode. Any change to this hex is a wire break, not a refactor.
+TEST(WireVersioning, V4FramesMatchGoldenBytes) {
+  constexpr std::uint64_t kFingerprint = 0x0123456789abcdefULL;
+  Hello site;
+  site.site_id = 7;
+  site.params_fingerprint = kFingerprint;
+  site.epoch_updates = 2048;
+  site.first_epoch = 3;
+  site.dropped_epochs = 1;
+  site.map_version = 2;
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kHello, site.encode())),
+            "4443535704012d0000000700000000000000efcdab89674523010008000000"
+            "000000030000000000000001000000000000000002000000ce80942f");
+
+  Hello leaf;
+  leaf.site_id = 1001;
+  leaf.params_fingerprint = kFingerprint;
+  leaf.role = PeerRole::kLeaf;
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kHello, leaf.encode())),
+            "4443535704012d000000e903000000000000efcdab89674523010000000000"
+            "0000000100000000000000000000000000000001000000005b62b710");
+
+  SnapshotDelta delta;
+  delta.site_id = 7;
+  delta.epoch = 5;
+  delta.updates = 2048;
+  delta.seal_unix_ns = 1700000000000000001ULL;
+  delta.seal_steady_ns = 42;
+  delta.spool_unix_ns = 1700000000000000002ULL;
+  delta.ship_unix_ns = 1700000000000000003ULL;
+  delta.sketch_blob = std::string("DCSB\x00\x01\xfe\xff", 8);
+  const std::string delta_hex =
+      "444353570402480000000700000000000000050000000000000000080000000000"
+      "0001002a36fe9c97172a0000000000000002002a36fe9c971703002a36fe9c9717"
+      "0800000000000000444353420001feff1867a3ab";
+  EXPECT_EQ(to_hex(delta.encode_frame()), delta_hex);
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kSnapshotDelta, delta.encode())),
+            delta_hex);
+
+  Heartbeat beat;
+  beat.site_id = 7;
+  beat.current_epoch = 6;
+  beat.spooled_epochs = 2;
+  beat.dropped_epochs = 1;
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kHeartbeat, beat.encode())),
+            "44435357040320000000070000000000000006000000000000000200000000"
+            "000000010000000000000059fe79c3");
+
+  Ack plain;
+  plain.epoch = 5;
+  plain.status = AckStatus::kRetryLater;
+  plain.retry_after_ms = 250;
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kAck, plain.encode())),
+            "44435357040419000000050000000000000003fa0000000000000000000000"
+            "00000000e7778292");
+
+  Ack with_map;
+  with_map.status = AckStatus::kWrongShard;
+  with_map.map_version = 3;
+  with_map.map_blob = std::string("MAP\x00\x01", 5);
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kAck, with_map.encode())),
+            "4443535704041e000000000000000000000004000000000300000005000000"
+            "000000004d41500001170fc051");
+
+  Bye bye;
+  bye.site_id = 7;
+  EXPECT_EQ(to_hex(encode_frame(MsgType::kBye, bye.encode())),
+            "444353570405080000000700000000000000283af1d9");
+}
+
+/// A peer speaking an older version is dropped at its first frame: one
+/// frame error, nothing booked for the site.
+TEST(WireVersioning, V3HelloDropsTheConnectionAndBooksNothing) {
   CollectorConfig config = collector_config();
   config.run_detection = false;
   Collector collector(config);
   collector.start();
 
-  DistinctCountSketch delta_sketch(small_params());
-  delta_sketch.update(8, 2, +1);
-  std::ostringstream blob_out(std::ios::binary);
-  BinaryWriter writer(blob_out);
-  delta_sketch.serialize(writer);
-
   auto socket = tcp_connect("127.0.0.1", collector.port(), 1000);
   ASSERT_TRUE(socket.has_value());
   socket->set_timeouts(2000, 2000);
-  FrameDecoder decoder;
-  char buffer[4096];
-  const auto read_ack_frame = [&]() -> std::optional<Frame> {
-    for (;;) {
-      if (auto frame = decoder.next()) return frame;
-      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
-      if (got.bytes == 0) return std::nullopt;
-      decoder.feed(buffer, got.bytes);
-    }
-  };
-
   Hello hello;
   hello.site_id = 3;
   hello.params_fingerprint = small_params().fingerprint();
-  ASSERT_TRUE(
-      socket->send_all(encode_frame(MsgType::kHello, hello.encode(2), 2)));
-  auto hello_ack = read_ack_frame();
-  ASSERT_TRUE(hello_ack.has_value());
-  EXPECT_EQ(hello_ack->version, 2) << "reply framed above the peer's version";
-  EXPECT_EQ(Ack::decode(hello_ack->payload, hello_ack->version).status, AckStatus::kOk);
-
-  // v2 heartbeats get no ack (a v2 agent would misread one as a stray
-  // delta ack); the connection must stay healthy regardless.
   ASSERT_TRUE(socket->send_all(
-      encode_frame(MsgType::kHeartbeat, Heartbeat{}.encode(), 2)));
+      with_version(encode_frame(MsgType::kHello, hello.encode()), 3)));
 
-  SnapshotDelta delta;
-  delta.site_id = 3;
-  delta.epoch = 1;
-  delta.updates = 1;
-  delta.sketch_blob = std::move(blob_out).str();
-  ASSERT_TRUE(socket->send_all(
-      encode_frame(MsgType::kSnapshotDelta, delta.encode(2), 2)));
-  auto delta_ack = read_ack_frame();
-  ASSERT_TRUE(delta_ack.has_value());
-  EXPECT_EQ(delta_ack->version, 2);
-  const Ack ack = Ack::decode(delta_ack->payload, delta_ack->version);
-  EXPECT_EQ(ack.status, AckStatus::kOk);
-  EXPECT_EQ(ack.epoch, 1u) << "heartbeat must not have been acked before "
-                              "the delta (v2 ack-stream contract)";
+  // The collector counts the frame error before it closes the socket, so
+  // the counter is settled once the close is seen.
+  char buffer[256];
+  const RecvResult got = socket->recv_some(buffer, sizeof buffer);
+  EXPECT_TRUE(got.closed || got.error) << "no reply, just the close";
+  EXPECT_EQ(got.bytes, 0u);
 
-  EXPECT_EQ(collector.stats().deltas_merged, 1u);
-  EXPECT_TRUE(collector.merged_sketch() == delta_sketch);
+  const auto stats = collector.stats();
+  EXPECT_EQ(stats.frame_errors, 1u);
+  EXPECT_EQ(stats.frames, 0u);
+  EXPECT_EQ(stats.connected_sites, 0u);
+  EXPECT_EQ(stats.rejected_hellos, 0u);
+  EXPECT_TRUE(collector.site_stats().empty());
   collector.stop();
 }
 
-/// A v3 peer's heartbeats are acked with epoch 0 — the free RTT probe.
+/// Heartbeats are acked with epoch 0 — the free RTT probe.
 TEST(WireVersioning, V3HeartbeatsAreAckedWithEpochZero) {
   CollectorConfig config = collector_config();
   config.run_detection = false;
@@ -1495,7 +1534,7 @@ TEST(WireVersioning, V3HeartbeatsAreAckedWithEpochZero) {
   ASSERT_TRUE(beat_ack.has_value());
   EXPECT_EQ(beat_ack->type, MsgType::kAck);
   EXPECT_EQ(beat_ack->version, kWireVersion);
-  const Ack ack = Ack::decode(beat_ack->payload, beat_ack->version);
+  const Ack ack = Ack::decode(beat_ack->payload);
   EXPECT_EQ(ack.status, AckStatus::kOk);
   EXPECT_EQ(ack.epoch, 0u);
   collector.stop();
@@ -1548,8 +1587,8 @@ TEST(ServiceTrace, CollectorTracesAreCompleteAndMonotone) {
   collector.stop();
 }
 
-/// An idle v3 agent <-> v3 collector pair turns keepalive heartbeats into
-/// RTT observations.
+/// An idle agent <-> collector pair turns keepalive heartbeats into RTT
+/// observations.
 TEST(ServiceTrace, HeartbeatRttIsMeasuredOnIdleConnections) {
   obs::set_enabled(true);
   const std::uint64_t rtt_before =

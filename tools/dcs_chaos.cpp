@@ -25,12 +25,7 @@
 //             [--budget N] [--site-rate R] [--site-burst N]
 //             [--frame-deadline-ms N] [--idle-timeout-ms N]
 //             [--loris N] [--stall N] [--oversize N] [--drain-ms N]
-//             [--reactor] [--reactor-workers N]
-//             [--verbose] [--help]
-//
-// With --reactor the same soak runs against the epoll reactor ingest path
-// instead of thread-per-connection; every assertion is identical, which is
-// the point — the overload defenses are transport-independent.
+//             [--reactor-workers N] [--verbose] [--help]
 //
 // A third mode, --federation, runs the two-tier federation soak that is
 // the acceptance oracle for docs/FEDERATION.md: one root, --leaves leaf
@@ -48,13 +43,11 @@
 // anywhere.
 //
 // A second mode, --churn-peers P, skips the fault soak and instead runs a
-// concurrency/churn differential: a threaded collector is loaded with P/10
-// simultaneously-connected raw peers, then a reactor collector with the
-// full P, and each population ships an epoch, vanishes abruptly (no Bye),
-// reconnects, and ships a second epoch. Asserts the reactor actually held
-// >=10x the threaded concurrent-connection count, every epoch merged
-// exactly once across the churn, and the merged sketch equals a local
-// reference bit-for-bit.
+// concurrency/churn check: P simultaneously-connected raw peers each ship
+// an epoch, vanish abruptly (no Bye), reconnect, and ship a second epoch.
+// Asserts all P peers were connected at once, every epoch merged exactly
+// once across the churn, and the merged sketch equals a local reference
+// bit-for-bit.
 //
 // Everything is seeded and bounded, so the chaos_smoke ctest runs it as-is;
 // raise --sites/--u (or --churn-peers) for a longer soak.
@@ -105,12 +98,10 @@ void print_usage() {
       "  --stall N            stalled connections (default 2)\n"
       "  --oversize N         oversized-frame connections (default 2)\n"
       "  --drain-ms N         post-fault drain budget (default 60000)\n"
-      "  --reactor            soak the epoll reactor ingest path instead of\n"
-      "                       thread-per-connection\n"
-      "  --reactor-workers N  reactor worker threads (default 2)\n"
-      "  --churn-peers P      run the connect/churn differential instead of\n"
-      "                       the fault soak: threaded at P/10 concurrent\n"
-      "                       peers vs reactor at P (default 0 = off)\n"
+      "  --reactor-workers N  collector reactor worker threads (default 2)\n"
+      "  --churn-peers P      run the connect/churn check with P concurrent\n"
+      "                       peers instead of the fault soak (default 0 =\n"
+      "                       off)\n"
       "  --federation         run the two-tier federation soak instead of\n"
       "                       the fault soak: leaf kill + reshard + journal\n"
       "                       drain, asserting bit-for-bit root convergence\n"
@@ -243,7 +234,7 @@ struct ChurnPeer {
     for (;;) {
       if (auto frame = decoder.next()) {
         if (frame->type != MsgType::kAck) return std::nullopt;
-        return Ack::decode(frame->payload, frame->version);
+        return Ack::decode(frame->payload);
       }
       const RecvResult got = socket->recv_some(buffer, sizeof buffer);
       if (got.bytes == 0) return std::nullopt;
@@ -275,29 +266,19 @@ std::string churn_delta_frame(const DcsParams& params, std::uint64_t site,
   return encode_frame(MsgType::kSnapshotDelta, delta.encode());
 }
 
-struct ChurnResult {
-  std::size_t peak_connections = 0;
-  double connect_ms = 0.0;
-  bool ok = false;
-};
-
-/// Drive one collector mode through the full churn: connect P peers at
-/// once, ship epoch 1, vanish without Bye, reconnect, ship epoch 2, part
-/// cleanly. Every exactly-once and accounting invariant is asserted against
-/// the same expectations in both modes.
-ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
-                           std::size_t peers, const DcsParams& params,
-                           int drain_ms, bool verbose) {
-  ChurnResult result;
-  const char* mode = use_reactor ? "reactor" : "threaded";
-
+/// The --churn-peers entry point. Drive one collector through the full
+/// churn: connect P peers at once, ship epoch 1, vanish without Bye,
+/// reconnect, ship epoch 2, part cleanly — then assert every exactly-once
+/// and accounting invariant against a local reference.
+int run_churn(std::size_t peers, int reactor_workers, std::uint64_t seed,
+              int drain_ms, bool verbose) {
+  const DcsParams params = chaos_params(seed);
   CollectorConfig config;
   config.params = params;
   config.io_timeout_ms = 25;
   config.run_detection = false;  // pure ingest/connection stress
   config.idle_timeout_ms = drain_ms;  // peers idle while the tail connects
   config.frame_deadline_ms = drain_ms;
-  config.use_reactor = use_reactor;
   config.reactor_workers = reactor_workers;
   Collector collector(config);
   collector.start();
@@ -310,25 +291,23 @@ ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
   for (std::uint64_t site = 1; site <= peers; ++site) {
     auto peer = std::make_unique<ChurnPeer>();
     if (!peer->connect_and_hello(port, params, site, 1)) {
-      std::fprintf(stderr, "dcs_chaos: [%s] peer %llu failed to hello\n",
-                   mode, static_cast<unsigned long long>(site));
-      ++failures;
-      collector.stop();
-      return result;
+      std::fprintf(stderr, "dcs_chaos: peer %llu failed to hello\n",
+                   static_cast<unsigned long long>(site));
+      return 1;
     }
     population.push_back(std::move(peer));
   }
-  result.connect_ms =
+  const double connect_ms =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                               Clock::now() - connect_start)
                               .count()) /
       1e6;
-  result.peak_connections = collector.connection_count();
-  expect(result.peak_connections >= peers,
+  const std::size_t peak_connections = collector.connection_count();
+  expect(peak_connections == peers,
          "every churn peer was connected simultaneously");
   if (verbose)
-    std::printf("[%s] %zu peers connected in %.1f ms (live=%zu)\n", mode,
-                peers, result.connect_ms, result.peak_connections);
+    std::printf("%zu peers connected in %.1f ms (live=%zu)\n", peers,
+                connect_ms, peak_connections);
 
   // Phase 2: each peer ships its first epoch and sees it acked.
   for (std::uint64_t site = 1; site <= peers; ++site) {
@@ -397,36 +376,8 @@ ChurnResult run_churn_mode(bool use_reactor, int reactor_workers,
   expect(serialize_sketch(merged) == serialize_sketch(reference),
          "churn-merged sketch equals the local reference bit-for-bit");
 
-  result.ok = failures == 0;
-  return result;
-}
-
-/// The --churn-peers entry point: threaded at P/10, reactor at P, then the
-/// headline assertion — the reactor demonstrably held >=10x the threaded
-/// mode's concurrent-agent count while preserving every merge invariant.
-int run_churn(std::size_t peers, int reactor_workers, std::uint64_t seed,
-              int drain_ms, bool verbose) {
-  const DcsParams params = chaos_params(seed);
-  const std::size_t threaded_peers = std::max<std::size_t>(1, peers / 10);
-
-  const ChurnResult threaded = run_churn_mode(
-      /*use_reactor=*/false, reactor_workers, threaded_peers, params,
-      drain_ms, verbose);
-  const ChurnResult reactor = run_churn_mode(
-      /*use_reactor=*/true, reactor_workers, peers, params, drain_ms,
-      verbose);
-
-  std::printf(
-      "churn: threaded_peers=%zu threaded_peak=%zu threaded_connect_ms=%.1f "
-      "reactor_peers=%zu reactor_peak=%zu reactor_connect_ms=%.1f\n",
-      threaded_peers, threaded.peak_connections, threaded.connect_ms, peers,
-      reactor.peak_connections, reactor.connect_ms);
-
-  expect(threaded.ok, "threaded churn preserved every invariant");
-  expect(reactor.ok, "reactor churn preserved every invariant");
-  expect(reactor.peak_connections >= 10 * threaded.peak_connections,
-         "reactor sustained >=10x the threaded concurrent-agent count");
-
+  std::printf("churn: peers=%zu peak=%zu connect_ms=%.1f\n", peers,
+              peak_connections, connect_ms);
   if (failures == 0) {
     std::printf("dcs_chaos: OK\n");
     return 0;
@@ -765,7 +716,6 @@ int main(int argc, char** argv) {
   const auto oversize =
       static_cast<std::size_t>(options.integer("oversize", 2));
   const int drain_ms = static_cast<int>(options.integer("drain-ms", 60000));
-  const bool use_reactor = options.flag("reactor");
   const int reactor_workers =
       static_cast<int>(options.integer("reactor-workers", 2));
   const auto churn_peers =
@@ -804,7 +754,6 @@ int main(int argc, char** argv) {
   // hint we gave it.
   config.admission.max_retry_after_ms = static_cast<std::uint32_t>(
       std::max(idle_timeout_ms / 3, 10));
-  config.use_reactor = use_reactor;
   config.reactor_workers = reactor_workers;
 
   try {
@@ -1021,7 +970,6 @@ int main(int argc, char** argv) {
       report.meta("sites", static_cast<double>(sites));
       report.meta("u_per_site", static_cast<double>(u));
       report.meta("faults", static_cast<double>(loris + stall + oversize));
-      report.meta("reactor", use_reactor ? 1.0 : 0.0);
       report.metric("drain", "convergence_ms", convergence_ms,
                     bench::Direction::kLowerIsBetter, 50.0);
       report.value("drain", "deltas_merged",

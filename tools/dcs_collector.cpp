@@ -16,8 +16,7 @@
 //                 [--publish-retain N] [--publish-k N]
 //                 [--max-inflight-bytes N] [--site-rate R] [--site-burst N]
 //                 [--frame-deadline-ms N] [--idle-timeout-ms N]
-//                 [--max-frame-bytes N]
-//                 [--reactor] [--reactor-workers N]
+//                 [--max-frame-bytes N] [--reactor-workers N]
 //                 [--metrics-out FILE] [--metrics-format prom|json]
 //                 [--metrics-every SEC] [--ops-port N] [--ops-port-file FILE]
 //
@@ -57,18 +56,15 @@
 // (docs/FEDERATION.md): it owns the shard of sites the --shard-map file
 // assigns to that leaf id (agents homed elsewhere are bounced with
 // kWrongShard plus the current map) and relays every accepted delta to the
-// --root collector (dcs_root) over one wire-v4 uplink. The uplink is
+// --root collector (dcs_root) over one uplink connection. The uplink is
 // ack-gated and sits in front of the journal fold — with --state-dir a
 // SIGKILLed leaf replays its journal into the uplink on restart, so the
 // root converges bit-for-bit regardless (the exactly-once argument lives
 // in docs/FEDERATION.md).
 //
-// --reactor swaps the thread-per-connection ingest loop for the epoll
-// reactor (src/service/reactor.hpp): identical protocol behaviour — both
-// paths run the same frame handler — but one small worker pool
-// (--reactor-workers) carries 10k+ concurrent agents instead of one OS
-// thread each. The threaded default remains the differential-testing
-// oracle.
+// Connections are served by the epoll reactor (src/service/reactor.hpp):
+// one small worker pool (--reactor-workers) carries every agent, instead
+// of one OS thread each.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -138,10 +134,8 @@ void print_usage() {
       "                        kWrongShard + this map\n"
       "  --uplink-spool N      relays held awaiting root acks before the\n"
       "                        leaf NACKs agents kRetryLater (default 4096)\n"
-      "  --reactor             serve connections from the epoll reactor\n"
-      "                        instead of one thread per connection\n"
-      "  --reactor-workers N   epoll workers with --reactor (default 2;\n"
-      "                        worker 0 also accepts)\n"
+      "  --reactor-workers N   epoll workers serving connections (default\n"
+      "                        2; worker 0 also accepts)\n"
       "  --metrics-out FILE    write a metrics snapshot on exit\n"
       "  --metrics-format F    prom|json (default prom)\n"
       "  --metrics-every SEC   also rewrite --metrics-out atomically every\n"
@@ -256,7 +250,6 @@ int main(int argc, char** argv) {
       static_cast<int>(options.integer("idle-timeout-ms", 15000));
   config.max_frame_bytes =
       static_cast<std::uint32_t>(options.integer("max-frame-bytes", 0));
-  config.use_reactor = options.flag("reactor");
   config.reactor_workers =
       static_cast<int>(options.integer("reactor-workers", 2));
 
@@ -317,10 +310,9 @@ int main(int argc, char** argv) {
       leaf->start();
     else
       collector.start();
-    std::printf("listening on %s:%u (%s ingest%s)\n",
+    std::printf("listening on %s:%u (%d reactor workers%s)\n",
                 config.bind_address.c_str(), collector.port(),
-                config.use_reactor ? "reactor" : "threaded",
-                leaf ? ", federation leaf" : "");
+                config.reactor_workers, leaf ? ", federation leaf" : "");
     std::fflush(stdout);
     const std::string port_file = options.str("port-file", "");
     if (!port_file.empty()) publish_port(port_file, collector.port());
