@@ -9,9 +9,10 @@ Three checks, all designed to fail when the docs drift:
    RUNBOOK.md and CLI.md's preamble are checked against the union of all
    tools' help.
 2. Metrics — the ``dcs_*`` names in docs/OBSERVABILITY.md's catalog and
-   the string literals registered in src/obs/*.cpp must be the *same
-   set*, both directions: an undocumented metric fails just like a
-   documented-but-unregistered one.
+   the string literals in METRIC_SOURCES (the instrument bundles in
+   src/obs and the per-instance series the service daemons export next to
+   their Stats) must be the *same set*, both directions: an undocumented
+   metric fails just like a documented-but-unregistered one.
 3. Links — every relative markdown link in README.md and docs/*.md must
    resolve to an existing file, and a ``#anchor`` must match a heading in
    the target (GitHub slug rules).
@@ -19,9 +20,10 @@ Three checks, all designed to fail when the docs drift:
 Usage: scripts/check_docs.py [--build-dir BUILD] [--self-test]
 
 --build-dir (default: ``build``) locates the built tools for check 1.
---self-test deliberately injects one stale flag, one stale metric, and
-one broken link into in-memory copies of the docs and asserts the linter
-catches all three — proving the checks can actually fail.
+--self-test deliberately injects one stale flag, one stale metric, one
+undocumented service metric, and one broken link into in-memory copies of
+the docs and asserts the linter catches all four — proving the checks can
+actually fail.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ FLAG_DOCS = ("docs/CLI.md", "docs/RUNBOOK.md")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 METRIC_RE = re.compile(r"`(dcs_[a-z0-9_]+)`")
 REGISTERED_RE = re.compile(r'"(dcs_[a-z0-9_]+)"')
+# Where metric names are registered: src/obs/*.cpp and every src/service
+# source, federation included.
+METRIC_SOURCES = ("src/obs/*.cpp", "src/service/**/*.cpp")
 
 
 def fail(errors: list[str], message: str) -> None:
@@ -103,13 +108,14 @@ def check_flags(errors: list[str], build_dir: pathlib.Path,
 def check_metrics(errors: list[str], observability: str) -> None:
     documented = set(METRIC_RE.findall(observability))
     registered: set[str] = set()
-    for source in sorted((REPO / "src" / "obs").glob("*.cpp")):
-        registered |= set(REGISTERED_RE.findall(source.read_text()))
+    for pattern in METRIC_SOURCES:
+        for source in sorted(REPO.glob(pattern)):
+            registered |= set(REGISTERED_RE.findall(source.read_text()))
     for name in sorted(documented - registered):
         fail(errors, f"docs/OBSERVABILITY.md: `{name}` documented but not "
-                     f"registered in src/obs")
+                     f"registered in {' or '.join(METRIC_SOURCES)}")
     for name in sorted(registered - documented):
-        fail(errors, f"src/obs: \"{name}\" registered but missing from the "
+        fail(errors, f"src: \"{name}\" registered but missing from the "
                      f"docs/OBSERVABILITY.md catalog")
 
 
@@ -178,16 +184,26 @@ def self_test(build_dir: pathlib.Path) -> int:
             print(f"  {error}")
         return 1
 
+    def append(text: str):
+        return lambda doc: doc + text
+
     breaks = {
-        "stale flag": ("docs/CLI.md", "\n# dcs_collector\n\n--no-such-flag\n"),
-        "stale metric": ("docs/OBSERVABILITY.md",
-                         "\n| `dcs_bogus_metric_total` | counter | — | x |\n"),
-        "broken link": ("docs/RUNBOOK.md", "\n[gone](NO_SUCH_FILE.md)\n"),
+        "stale flag": ("docs/CLI.md",
+                       append("\n# dcs_collector\n\n--no-such-flag\n")),
+        "stale metric": ("docs/OBSERVABILITY.md", append(
+            "\n| `dcs_bogus_metric_total` | counter | — | x |\n")),
+        # A series a collector exports from src/service, dropped from the
+        # catalog: proves the service sources are scanned.
+        "undocumented service metric": (
+            "docs/OBSERVABILITY.md",
+            lambda doc: doc.replace("`dcs_root_pending_gap_epochs`", "")),
+        "broken link": ("docs/RUNBOOK.md",
+                        append("\n[gone](NO_SUCH_FILE.md)\n")),
     }
     failed = 0
     for what, (doc, poison) in breaks.items():
         docs = load_docs()
-        docs[doc] += poison
+        docs[doc] = poison(docs[doc])
         if not run_checks(build_dir, docs):
             print(f"check_docs --self-test: {what} NOT caught")
             failed = 1

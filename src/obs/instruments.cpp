@@ -164,53 +164,6 @@ DistributedMetrics& DistributedMetrics::get() {
   return instance;
 }
 
-CollectorMetrics& CollectorMetrics::get() {
-  static CollectorMetrics instance{
-      Registry::global().counter(
-          "dcs_collector_frames_total",
-          "Wire frames decoded by sketch-shipping collectors"),
-      Registry::global().counter(
-          "dcs_collector_frame_errors_total",
-          "Malformed frames or payloads rejected (connection dropped)"),
-      Registry::global().counter(
-          "dcs_collector_deltas_total",
-          "Per-epoch sketch deltas merged into the global tracker"),
-      Registry::global().counter(
-          "dcs_collector_duplicate_deltas_total",
-          "Retransmitted deltas deduplicated by per-site epoch tracking"),
-      Registry::global().counter(
-          "dcs_collector_dropped_epochs_total",
-          "Site epochs lost to spool overflow or agent restarts (gaps in "
-          "the per-site epoch sequence)"),
-      Registry::global().counter(
-          "dcs_collector_rejected_hellos_total",
-          "Site handshakes rejected for sketch-parameter mismatch"),
-      Registry::global().gauge("dcs_collector_connected_sites",
-                               "Site agents currently connected"),
-      Registry::global().histogram(
-          "dcs_collector_merge_latency_ns",
-          "Delta merge + tracking rebuild + detection check latency, ns"),
-      Registry::global().counter(
-          "dcs_collector_shed_deltas_total",
-          "Deltas NACKed kRetryLater by admission control (re-shipped by "
-          "the site later; shed, not lost)"),
-      Registry::global().counter(
-          "dcs_collector_shed_bytes_total",
-          "Payload bytes of deltas shed by admission control"),
-      Registry::global().counter(
-          "dcs_collector_deadline_drops_total",
-          "Connections dropped for holding a partial frame past the frame "
-          "deadline (slow-loris defense)"),
-      Registry::global().counter(
-          "dcs_collector_idle_reaped_total",
-          "Connections reaped after the idle timeout with no traffic"),
-      Registry::global().gauge(
-          "dcs_collector_inflight_bytes",
-          "Delta bytes admitted but not yet merged and released (bounded "
-          "by the admission budget)")};
-  return instance;
-}
-
 ReactorMetrics& ReactorMetrics::get() {
   static ReactorMetrics instance{
       Registry::global().counter(
@@ -234,130 +187,6 @@ ReactorMetrics& ReactorMetrics::get() {
           "dcs_reactor_frames_per_wakeup",
           "Complete frames decoded per read wakeup (batching efficiency "
           "of the event loop)")};
-  return instance;
-}
-
-AgentMetrics& AgentMetrics::get() {
-  static AgentMetrics instance{
-      Registry::global().counter(
-          "dcs_agent_epochs_sealed_total",
-          "Epoch sketch deltas sealed and spooled by site agents"),
-      Registry::global().counter(
-          "dcs_agent_epochs_shipped_total",
-          "Epoch deltas acknowledged by a collector"),
-      Registry::global().counter(
-          "dcs_agent_epochs_dropped_total",
-          "Epoch deltas evicted from a full spool (degraded mode)"),
-      Registry::global().counter(
-          "dcs_agent_reconnects_total",
-          "Collector connection attempts after the first"),
-      Registry::global().counter(
-          "dcs_agent_io_errors_total",
-          "Send/receive failures that dropped a collector connection"),
-      Registry::global().counter(
-          "dcs_agent_resume_skips_total",
-          "Spooled epochs dropped without re-shipping because the "
-          "collector's Hello ack watermark already covered them"),
-      Registry::global().gauge("dcs_agent_spool_depth",
-                               "Epoch deltas awaiting collector ack"),
-      Registry::global().counter(
-          "dcs_agent_nacks_total",
-          "kRetryLater NACKs received from collector admission control "
-          "(epoch kept spooled; next ship delayed by retry_after_ms)"),
-      Registry::global().histogram(
-          "dcs_agent_heartbeat_rtt_ns",
-          "Heartbeat send to Ack receipt round-trip time (collectors ack "
-          "heartbeats; a free network-health probe)")};
-  return instance;
-}
-
-CheckpointMetrics& CheckpointMetrics::get() {
-  static CheckpointMetrics instance{
-      Registry::global().counter(
-          "dcs_checkpoint_generations_total",
-          "Checkpoint generations written durably by collectors"),
-      Registry::global().counter(
-          "dcs_checkpoint_bytes_written_total",
-          "Bytes of checkpoint state written (before journal rotation)"),
-      Registry::global().counter(
-          "dcs_checkpoint_journal_records_total",
-          "Delta records appended to the epoch journal (fsync'd before ack)"),
-      Registry::global().counter(
-          "dcs_checkpoint_recoveries_total",
-          "Collector starts that restored state from a checkpoint/journal"),
-      Registry::global().counter(
-          "dcs_checkpoint_corrupt_generations_total",
-          "Checkpoint generations skipped at recovery (CRC or decode "
-          "failure; fell back to an older generation)"),
-      Registry::global().counter(
-          "dcs_checkpoint_replayed_epochs_total",
-          "Journaled epoch deltas re-merged during recovery"),
-      Registry::global().counter(
-          "dcs_checkpoint_replay_deduped_total",
-          "Journaled records skipped during replay (already covered by the "
-          "loaded checkpoint's watermarks)"),
-      Registry::global().counter(
-          "dcs_checkpoint_post_recovery_duplicates_total",
-          "Re-shipped pre-crash epochs acked-but-not-merged after a "
-          "recovery (watermark dedup; nonzero means agents retransmitted, "
-          "zero double-merges)"),
-      Registry::global().histogram(
-          "dcs_checkpoint_write_latency_ns",
-          "Checkpoint encode + atomic publish latency, ns"),
-      Registry::global().histogram(
-          "dcs_checkpoint_fsync_latency_ns",
-          "fsync latency for journal appends and checkpoint publishes, ns")};
-  return instance;
-}
-
-FederationMetrics& FederationMetrics::get() {
-  static FederationMetrics instance{
-      Registry::global().counter(
-          "dcs_collector_wrong_shard_acks_total",
-          "Hellos/deltas answered kWrongShard because the site hashes to "
-          "another leaf under the current shard map (re-home churn)"),
-      Registry::global().counter(
-          "dcs_collector_reshards_total",
-          "Shard-map version bumps accepted via set_shard_map"),
-      Registry::global().counter(
-          "dcs_root_gap_fills_total",
-          "Out-of-order epochs merged into a previously recorded gap at "
-          "the federation root (exactly-once across relay paths)"),
-      Registry::global().gauge(
-          "dcs_root_pending_gap_epochs",
-          "Epochs below a site watermark the root is still awaiting "
-          "(drains to 0 once every leaf journal is re-forwarded)"),
-      Registry::global().counter(
-          "dcs_root_gap_overflow_epochs_total",
-          "Epochs of a site jump beyond the root's per-site gap-ledger "
-          "bound, booked as dropped without being awaited"),
-      Registry::global().counter(
-          "dcs_root_relayed_deltas_total",
-          "Deltas merged from role=leaf uplink connections at the root"),
-      Registry::global().counter(
-          "dcs_leaf_uplink_shed_total",
-          "Deltas NACKed kRetryLater because the leaf uplink spool was "
-          "full (backpressure to the agent, not loss)"),
-      Registry::global().counter(
-          "dcs_leaf_uplink_relayed_total",
-          "Deltas enqueued on the leaf uplink spool for relay to the root"),
-      Registry::global().counter(
-          "dcs_leaf_uplink_acked_total",
-          "Relayed deltas acknowledged by the root (kOk or kDuplicate)"),
-      Registry::global().counter(
-          "dcs_leaf_uplink_nacks_total",
-          "Relayed deltas NACKed kRetryLater by the root (re-shipped)"),
-      Registry::global().counter(
-          "dcs_leaf_uplink_reconnects_total",
-          "Leaf uplink reconnect attempts to the root"),
-      Registry::global().gauge(
-          "dcs_leaf_uplink_spool_depth",
-          "Relayed deltas spooled on the leaf uplink awaiting a root ack "
-          "(leaf lag)"),
-      Registry::global().counter(
-          "dcs_agent_rehomes_total",
-          "Agent re-homes: connections moved to another leaf after a "
-          "kWrongShard ack or a pushed shard map")};
   return instance;
 }
 

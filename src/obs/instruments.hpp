@@ -3,7 +3,12 @@
 // Each subsystem gets one lazily-constructed bundle of references into the
 // global Registry (construct-on-first-use keeps static-init order safe).
 // Hot paths fetch the bundle once per call under `if (obs::recording())`,
-// so a disabled build pays one relaxed bool load and nothing else.
+// so switched-off telemetry costs one relaxed bool load and nothing else.
+//
+// These bundles are for process-wide paths with no instance ledger of their
+// own. The service daemons (collector, leaf uplink, site agent) keep their
+// counters in their own Stats and export them per instance from a
+// scrape-time source (Registry::add_source) instead.
 //
 // The full catalog — name, type, labels, and which paper quantity each
 // metric tracks — is documented in docs/OBSERVABILITY.md; keep the two in
@@ -122,29 +127,11 @@ struct DistributedMetrics {
   static DistributedMetrics& get();
 };
 
-/// src/service collector: frame ingest, delta merging, site liveness, and
-/// the overload ledger (admission sheds, deadline/idle connection drops).
-struct CollectorMetrics {
-  Counter& frames;              // dcs_collector_frames_total
-  Counter& frame_errors;        // dcs_collector_frame_errors_total
-  Counter& deltas;              // dcs_collector_deltas_total
-  Counter& duplicate_deltas;    // dcs_collector_duplicate_deltas_total
-  Counter& dropped_epochs;      // dcs_collector_dropped_epochs_total
-  Counter& rejected_hellos;     // dcs_collector_rejected_hellos_total
-  Gauge& connected_sites;       // dcs_collector_connected_sites
-  Histogram& merge_ns;          // dcs_collector_merge_latency_ns
-  Counter& shed_deltas;         // dcs_collector_shed_deltas_total
-  Counter& shed_bytes;          // dcs_collector_shed_bytes_total
-  Counter& deadline_drops;      // dcs_collector_deadline_drops_total
-  Counter& idle_reaped;         // dcs_collector_idle_reaped_total
-  Gauge& inflight_bytes;        // dcs_collector_inflight_bytes
-
-  static CollectorMetrics& get();
-};
-
-/// src/service epoll ingest reactor: event-loop health. Frame/merge/shed
-/// accounting lives in CollectorMetrics; these cover the event loop itself
-/// — wakeups, the accept drain, and reply-path partial writes.
+/// src/service epoll ingest reactor: event-loop health, process-wide across
+/// every collector's reactor. Frame/merge/shed accounting is each
+/// collector's own (Collector::Stats, exported per instance); these cover
+/// the event loop itself — wakeups, the accept drain, and reply-path
+/// partial writes.
 struct ReactorMetrics {
   Counter& wakeups;             // dcs_reactor_wakeups_total
   Counter& accepts;             // dcs_reactor_accepts_total
@@ -154,60 +141,6 @@ struct ReactorMetrics {
   Histogram& frames_per_wakeup; // dcs_reactor_frames_per_wakeup
 
   static ReactorMetrics& get();
-};
-
-/// src/service site agent: epoch lifecycle and degraded-mode accounting.
-struct AgentMetrics {
-  Counter& epochs_sealed;       // dcs_agent_epochs_sealed_total
-  Counter& epochs_shipped;      // dcs_agent_epochs_shipped_total
-  Counter& epochs_dropped;      // dcs_agent_epochs_dropped_total
-  Counter& reconnects;          // dcs_agent_reconnects_total
-  Counter& io_errors;           // dcs_agent_io_errors_total
-  Counter& resume_skips;        // dcs_agent_resume_skips_total
-  Gauge& spool_depth;           // dcs_agent_spool_depth
-  Counter& nacks;               // dcs_agent_nacks_total
-  Histogram& heartbeat_rtt_ns;  // dcs_agent_heartbeat_rtt_ns
-
-  static AgentMetrics& get();
-};
-
-/// src/service collector durability: checkpoint generations, epoch journal,
-/// and crash recovery.
-struct CheckpointMetrics {
-  Counter& generations;          // dcs_checkpoint_generations_total
-  Counter& bytes_written;        // dcs_checkpoint_bytes_written_total
-  Counter& journal_records;      // dcs_checkpoint_journal_records_total
-  Counter& recoveries;           // dcs_checkpoint_recoveries_total
-  Counter& corrupt_skipped;      // dcs_checkpoint_corrupt_generations_total
-  Counter& replayed_epochs;      // dcs_checkpoint_replayed_epochs_total
-  Counter& replay_deduped;       // dcs_checkpoint_replay_deduped_total
-  Counter& post_recovery_duplicates;
-                                 // dcs_checkpoint_post_recovery_duplicates_total
-  Histogram& write_ns;           // dcs_checkpoint_write_latency_ns
-  Histogram& fsync_ns;           // dcs_checkpoint_fsync_latency_ns
-
-  static CheckpointMetrics& get();
-};
-
-/// Two-tier federation (src/service/federation, docs/FEDERATION.md): shard
-/// enforcement and re-homing, the leaf→root uplink, and the root's
-/// gap-filling exactly-once dedup.
-struct FederationMetrics {
-  Counter& wrong_shard_acks;    // dcs_collector_wrong_shard_acks_total
-  Counter& reshards;            // dcs_collector_reshards_total
-  Counter& gap_fills;           // dcs_root_gap_fills_total
-  Gauge& pending_gap_epochs;    // dcs_root_pending_gap_epochs
-  Counter& gap_overflow_epochs; // dcs_root_gap_overflow_epochs_total
-  Counter& relayed_deltas;      // dcs_root_relayed_deltas_total
-  Counter& tap_shed_deltas;     // dcs_leaf_uplink_shed_total
-  Counter& uplink_relayed;      // dcs_leaf_uplink_relayed_total
-  Counter& uplink_acked;        // dcs_leaf_uplink_acked_total
-  Counter& uplink_nacks;        // dcs_leaf_uplink_nacks_total
-  Counter& uplink_reconnects;   // dcs_leaf_uplink_reconnects_total
-  Gauge& uplink_spool_depth;    // dcs_leaf_uplink_spool_depth
-  Counter& rehomes;             // dcs_agent_rehomes_total
-
-  static FederationMetrics& get();
 };
 
 /// Query tier (src/query): the collector-side snapshot publisher and the

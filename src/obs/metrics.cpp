@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dcs::obs {
 
@@ -111,6 +112,25 @@ bool id_less(const MetricId& a, const MetricId& b) {
 
 }  // namespace
 
+SourceHandle Registry::add_source(Labels labels,
+                                  std::function<void(SampleWriter&)> source) {
+  std::lock_guard<std::mutex> lock(sources_mutex_);
+  const std::uint64_t id = next_source_id_++;
+  sources_.push_back({id, std::move(labels), std::move(source)});
+  return SourceHandle(this, id);
+}
+
+void Registry::remove_source(std::uint64_t id) noexcept {
+  std::lock_guard<std::mutex> lock(sources_mutex_);
+  std::erase_if(sources_,
+                [id](const SourceEntry& entry) { return entry.id == id; });
+}
+
+void SourceHandle::reset() noexcept {
+  if (Registry* registry = std::exchange(registry_, nullptr))
+    registry->remove_source(id_);
+}
+
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   {
@@ -127,6 +147,13 @@ Snapshot Registry::snapshot() const {
           snap.histograms.push_back({entry->id, entry->histogram->snapshot()});
           break;
       }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(sources_mutex_);
+    for (const SourceEntry& entry : sources_) {
+      SampleWriter writer(snap, entry.labels);
+      entry.source(writer);
     }
   }
   const auto by_id = [](const auto& a, const auto& b) {

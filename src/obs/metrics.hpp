@@ -11,11 +11,14 @@
 // owns named instances and produces consistent point-in-time snapshots for
 // the Prometheus/JSON exporters (see obs/export.hpp).
 //
+// Instances that already keep their own counters (a collector's Stats, an
+// agent's) do not copy them into registry instruments: they register a
+// scrape-time source that appends their samples, labelled by instance, to
+// every snapshot.
+//
 // Cost model. Every mutating call first checks `recording()`:
-//   * compile-time off (DCS_OBS_DISABLED) — recording() is constexpr false
-//     and the whole call folds away;
-//   * runtime off (set_enabled(false))    — one relaxed bool load + branch;
-//   * on                                  — the load plus 1-3 relaxed RMWs.
+//   * off (set_enabled(false)) — one relaxed bool load + branch;
+//   * on                       — the load plus 1-3 relaxed RMWs.
 // bench/obs_overhead.cpp verifies the enabled update path stays within its
 // budget (a few ns absolute, 12% of the vectorized update; see the bench
 // header) and the disabled path within noise.
@@ -30,6 +33,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,14 +54,8 @@ inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// The hot-path gate: false when telemetry is compiled out or switched off.
-inline bool recording() noexcept {
-#if defined(DCS_OBS_DISABLED)
-  return false;
-#else
-  return enabled();
-#endif
-}
+/// The hot-path gate: false when telemetry is switched off.
+inline bool recording() noexcept { return enabled(); }
 
 /// Monotonic event counter.
 class Counter {
@@ -209,6 +207,60 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;
 };
 
+/// Appends one instance's samples to a snapshot; every sample carries the
+/// instance's identity labels. Handed to scrape-time sources.
+class SampleWriter {
+ public:
+  SampleWriter(Snapshot& out, const Labels& labels)
+      : out_(out), labels_(labels) {}
+
+  void counter(const char* name, const char* help, std::uint64_t value) {
+    out_.counters.push_back({{name, help, labels_}, value});
+  }
+  void gauge(const char* name, const char* help, std::int64_t value) {
+    out_.gauges.push_back({{name, help, labels_}, value});
+  }
+  void histogram(const char* name, const char* help,
+                 const Histogram& histogram) {
+    out_.histograms.push_back({{name, help, labels_}, histogram.snapshot()});
+  }
+
+ private:
+  Snapshot& out_;
+  const Labels& labels_;
+};
+
+class Registry;
+
+/// Keeps one scrape-time source registered. Destruction unregisters it and
+/// waits for a scrape that is calling it, so the source may capture the
+/// object owning the handle.
+class SourceHandle {
+ public:
+  SourceHandle() = default;
+  SourceHandle(SourceHandle&& other) noexcept
+      : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
+  SourceHandle& operator=(SourceHandle&& other) noexcept {
+    if (this != &other) {
+      reset();
+      registry_ = std::exchange(other.registry_, nullptr);
+      id_ = other.id_;
+    }
+    return *this;
+  }
+  ~SourceHandle() { reset(); }
+
+  void reset() noexcept;
+
+ private:
+  friend class Registry;
+  SourceHandle(Registry* registry, std::uint64_t id)
+      : registry_(registry), id_(id) {}
+
+  Registry* registry_ = nullptr;
+  std::uint64_t id_ = 0;
+};
+
 /// Owns metrics by (name, labels). Registration (find-or-create) takes a
 /// mutex and is meant for setup paths; the returned references are stable
 /// for the registry's lifetime and are what hot paths write through.
@@ -230,6 +282,15 @@ class Registry {
   Histogram& histogram(const std::string& name, const std::string& help,
                        Labels labels = {});
 
+  /// Register `source`, called by every snapshot() with a writer that
+  /// labels its samples `labels`. Sources are called without the
+  /// registration mutex held, so a source may take locks under which
+  /// counter()/gauge()/histogram() are reached; a source must not call
+  /// snapshot() or add/remove a source.
+  [[nodiscard]] SourceHandle add_source(
+      Labels labels, std::function<void(SampleWriter&)> source);
+
+  /// Registered instruments plus every live source's samples.
   Snapshot snapshot() const;
 
   /// Zero every registered metric (benchmarks and tests; instruments stay
@@ -249,11 +310,25 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  struct SourceEntry {
+    std::uint64_t id;
+    Labels labels;
+    std::function<void(SampleWriter&)> source;
+  };
+
+  friend class SourceHandle;
+  void remove_source(std::uint64_t id) noexcept;
+
   Entry& find_or_create(const std::string& name, const std::string& help,
                         Labels labels, Kind kind);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;
+  /// Held across every source call of a scrape, so removing a source waits
+  /// for a scrape that is calling it. Never taken with mutex_ held.
+  mutable std::mutex sources_mutex_;
+  std::vector<SourceEntry> sources_;
+  std::uint64_t next_source_id_ = 1;
 };
 
 }  // namespace dcs::obs

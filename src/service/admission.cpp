@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/instruments.hpp"
-
 namespace dcs::service {
 
 namespace {
@@ -61,18 +59,12 @@ AdmissionDecision AdmissionController::try_admit(std::uint64_t site_id,
     bucket.tokens -= 1.0;
   }
   inflight_bytes_ += bytes;
-  if (obs::recording())
-    obs::CollectorMetrics::get().inflight_bytes.add(
-        static_cast<std::int64_t>(bytes));
   return {true, 0};
 }
 
 void AdmissionController::release(std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   inflight_bytes_ = bytes > inflight_bytes_ ? 0 : inflight_bytes_ - bytes;
-  if (obs::recording())
-    obs::CollectorMetrics::get().inflight_bytes.add(
-        -static_cast<std::int64_t>(bytes));
 }
 
 std::uint64_t AdmissionController::inflight_bytes() const {

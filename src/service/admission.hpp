@@ -76,8 +76,8 @@ class AdmissionController {
   /// ack sent — or the merge path threw).
   void release(std::uint64_t bytes);
 
-  /// Currently admitted, unreleased bytes (the dcs_collector_inflight
-  /// gauge reads this).
+  /// Currently admitted, unreleased bytes (the collector's
+  /// dcs_collector_inflight_bytes series reads this).
   std::uint64_t inflight_bytes() const;
 
   /// Drop rate-limiter state for sites idle since `cutoff` so the bucket

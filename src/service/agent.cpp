@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
@@ -20,9 +19,8 @@ SiteAgent::SiteAgent(SiteAgentConfig config)
       jitter_(config_.jitter_seed),
       trace_ring_(config_.trace_capacity) {
   // Eager registration so an agent-side scrape lists every stage family
-  // (and the heartbeat RTT histogram) before any epoch is sealed.
+  // before any epoch is sealed.
   obs::TraceMetrics::get();
-  obs::AgentMetrics::get();
   if (config_.epoch_updates == 0)
     throw std::invalid_argument("SiteAgent: epoch_updates must be > 0");
   if (config_.spool_epochs == 0)
@@ -34,6 +32,9 @@ SiteAgent::SiteAgent(SiteAgentConfig config)
   stats_.current_epoch = current_epoch_;
   shard_map_ = config_.shard_map;
   stats_.map_version = shard_map_.version();
+  metrics_source_ = obs::Registry::global().add_source(
+      {{"site", std::to_string(config_.site_id)}},
+      [this](obs::SampleWriter& out) { export_stats(out); });
 }
 
 SiteAgent::~SiteAgent() {
@@ -100,7 +101,6 @@ void SiteAgent::seal_epoch() {
       // newest data matters most for detection — and account the loss.
       spool_.pop_front();
       ++stats_.epochs_dropped;
-      if (obs::recording()) obs::AgentMetrics::get().epochs_dropped.inc();
     }
     sealed.spool_unix_ns = obs::unix_now_ns();
     if (obs::recording())
@@ -111,11 +111,6 @@ void SiteAgent::seal_epoch() {
     ++stats_.epochs_sealed;
     stats_.spool_depth = spool_.size();
     stats_.current_epoch = current_epoch_;
-    if (obs::recording()) {
-      obs::AgentMetrics::get().epochs_sealed.inc();
-      obs::AgentMetrics::get().spool_depth.set(
-          static_cast<std::int64_t>(spool_.size()));
-    }
   }
   cv_.notify_all();
 }
@@ -132,6 +127,41 @@ bool SiteAgent::flush(int timeout_ms) {
 SiteAgent::Stats SiteAgent::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+void SiteAgent::export_stats(obs::SampleWriter& out) const {
+  const Stats s = stats();
+  out.counter("dcs_agent_epochs_sealed_total",
+              "Epoch sketch deltas sealed and spooled by site agents",
+              s.epochs_sealed);
+  out.counter("dcs_agent_epochs_shipped_total",
+              "Epoch deltas acknowledged by a collector", s.epochs_shipped);
+  out.counter("dcs_agent_epochs_dropped_total",
+              "Epoch deltas evicted from a full spool (degraded mode)",
+              s.epochs_dropped);
+  out.counter("dcs_agent_reconnects_total",
+              "Collector connection attempts after the first", s.reconnects);
+  out.counter("dcs_agent_io_errors_total",
+              "Send/receive failures that dropped a collector connection",
+              s.io_errors);
+  out.counter("dcs_agent_resume_skips_total",
+              "Spooled epochs dropped without re-shipping because the "
+              "collector's Hello ack watermark already covered them",
+              s.resume_skips);
+  out.gauge("dcs_agent_spool_depth", "Epoch deltas awaiting collector ack",
+            static_cast<std::int64_t>(s.spool_depth));
+  out.counter("dcs_agent_nacks_total",
+              "kRetryLater NACKs received from collector admission control "
+              "(epoch kept spooled; next ship delayed by retry_after_ms)",
+              s.nacks);
+  out.counter("dcs_agent_rehomes_total",
+              "Agent re-homes: connections moved to another leaf after a "
+              "kWrongShard ack or a pushed shard map",
+              s.rehomes);
+  out.histogram("dcs_agent_heartbeat_rtt_ns",
+                "Heartbeat send to Ack receipt round-trip time (collectors "
+                "ack heartbeats; a free network-health probe)",
+                heartbeat_rtt_ns_);
 }
 
 std::uint64_t SiteAgent::next_backoff_ms() {
@@ -152,7 +182,6 @@ void SiteAgent::sender_loop() {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.reconnects;
       }
-      if (obs::recording()) obs::AgentMetrics::get().reconnects.inc();
       const auto delay = std::chrono::milliseconds(next_backoff_ms());
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait_for(lock, delay,
@@ -222,7 +251,6 @@ bool SiteAgent::run_connection() {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.io_errors;
     stats_.connected = false;
-    if (obs::recording()) obs::AgentMetrics::get().io_errors.inc();
     return true;  // transient — retry with backoff
   };
 
@@ -275,7 +303,6 @@ bool SiteAgent::run_connection() {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.rehomes;
       }
-      if (obs::recording()) obs::FederationMetrics::get().rehomes.inc();
       return true;
     }
     connect_failures_ = 0;
@@ -295,15 +322,8 @@ bool SiteAgent::run_connection() {
         spool_.pop_front();
         ++stats_.epochs_shipped;
         ++stats_.resume_skips;
-        if (obs::recording()) {
-          obs::AgentMetrics::get().epochs_shipped.inc();
-          obs::AgentMetrics::get().resume_skips.inc();
-        }
       }
       stats_.spool_depth = spool_.size();
-      if (obs::recording())
-        obs::AgentMetrics::get().spool_depth.set(
-            static_cast<std::int64_t>(spool_.size()));
     }
     cv_.notify_all();
     backoff_ms_ = 0;  // healthy connection resets the backoff schedule
@@ -342,9 +362,7 @@ bool SiteAgent::run_connection() {
             if (!beat_ack) return io_error();
             if (beat_ack->epoch != 0)
               throw WireError("agent: heartbeat ack carries an epoch");
-            if (obs::recording())
-              obs::AgentMetrics::get().heartbeat_rtt_ns.observe(
-                  obs::steady_now_ns() - sent_ns);
+            heartbeat_rtt_ns_.observe(obs::steady_now_ns() - sent_ns);
           }
           continue;
         }
@@ -383,7 +401,6 @@ bool SiteAgent::run_connection() {
           ++stats_.rehomes;
           stats_.connected = false;
         }
-        if (obs::recording()) obs::FederationMetrics::get().rehomes.inc();
         return true;
       }
       if (ack->status == AckStatus::kRetryLater) {
@@ -397,7 +414,6 @@ bool SiteAgent::run_connection() {
           std::lock_guard<std::mutex> lock(mutex_);
           ++stats_.nacks;
         }
-        if (obs::recording()) obs::AgentMetrics::get().nacks.inc();
         const std::uint64_t wait_ms = std::min<std::uint64_t>(
             std::max<std::uint32_t>(ack->retry_after_ms, 1),
             config_.backoff_max_ms);
@@ -423,11 +439,6 @@ bool SiteAgent::run_connection() {
           spool_.pop_front();
         ++stats_.epochs_shipped;
         stats_.spool_depth = spool_.size();
-        if (obs::recording()) {
-          obs::AgentMetrics::get().epochs_shipped.inc();
-          obs::AgentMetrics::get().spool_depth.set(
-              static_cast<std::int64_t>(spool_.size()));
-        }
       }
       cv_.notify_all();
     }

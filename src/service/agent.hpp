@@ -14,8 +14,9 @@
 // (newest data is most valuable for detection) and counted. Reconnection
 // uses exponential backoff with jitter so a fleet of agents does not
 // reconnect in lockstep. All degraded-mode accounting (sealed / shipped /
-// dropped / reconnects / spool depth) is exported via obs and carried in
-// Hello/Heartbeat messages so the collector sees it too.
+// dropped / reconnects / spool depth) lives in Stats, is exported to obs
+// labelled by site id, and is carried in Hello/Heartbeat messages so the
+// collector sees it too.
 #pragma once
 
 #include <atomic>
@@ -162,6 +163,9 @@ class SiteAgent {
   /// Adopt the map carried in `ack` if it is strictly newer than ours.
   /// Returns true when adoption moved our shard to a different endpoint.
   bool adopt_map(const Ack& ack);
+  /// The scrape-time source: stats() and the heartbeat RTT histogram as
+  /// series labelled by site id.
+  void export_stats(obs::SampleWriter& out) const;
 
   SiteAgentConfig config_;
 
@@ -192,6 +196,11 @@ class SiteAgent {
   std::uint32_t connect_failures_ = 0;
 
   obs::TraceRing trace_ring_;
+  /// Exported by export_stats (gated on obs::recording()).
+  obs::Histogram heartbeat_rtt_ns_;
+  /// Declared last so a scrape in progress finishes before any member it
+  /// reads is destroyed.
+  obs::SourceHandle metrics_source_;
 };
 
 }  // namespace dcs::service

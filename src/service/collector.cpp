@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "service/reactor.hpp"
 #include "service/wire.hpp"
@@ -84,6 +83,11 @@ void Collector::start() {
   reactor_ = std::make_unique<Reactor>(reactor_config,
                                        static_cast<FrameHandler&>(*this));
   reactor_->start(listener_);
+  // Re-registered on every start: a restart may bind another port.
+  metrics_source_ = obs::Registry::global().add_source(
+      {{"collector",
+        config_.bind_address + ":" + std::to_string(listener_.port())}},
+      [this](obs::SampleWriter& out) { export_stats(out); });
 }
 
 void Collector::stop() {
@@ -114,17 +118,14 @@ std::uint16_t Collector::port() const { return listener_.port(); }
 
 void Collector::on_frame_error() {
   frame_errors_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::recording()) obs::CollectorMetrics::get().frame_errors.inc();
 }
 
 void Collector::on_deadline_drop() {
   deadline_drops_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::recording()) obs::CollectorMetrics::get().deadline_drops.inc();
 }
 
 void Collector::on_idle_reap() {
   idle_reaped_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::recording()) obs::CollectorMetrics::get().idle_reaped.inc();
 }
 
 void Collector::on_disconnect(PeerState& peer) {
@@ -134,8 +135,6 @@ void Collector::on_disconnect(PeerState& peer) {
     if (it != sites_.end() && it->second.connected) {
       it->second.connected = false;
       --totals_.connected_sites;
-      if (obs::recording())
-        obs::CollectorMetrics::get().connected_sites.add(-1);
     }
   }
   state_cv_.notify_all();
@@ -144,7 +143,6 @@ void Collector::on_disconnect(PeerState& peer) {
 std::string Collector::on_frame(PeerState& peer, MsgType type,
                                 std::string_view payload) {
   frames_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::recording()) obs::CollectorMetrics::get().frames.inc();
   switch (type) {
     case MsgType::kHello: {
       const Hello hello = Hello::decode(payload);
@@ -156,8 +154,6 @@ std::string Collector::on_frame(PeerState& peer, MsgType type,
       if (hello.params_fingerprint != config_.params.fingerprint() ||
           (hello.role == PeerRole::kLeaf && !config_.federation_root)) {
         ack.status = AckStatus::kRejected;
-        if (obs::recording())
-          obs::CollectorMetrics::get().rejected_hellos.inc();
         std::lock_guard<std::mutex> lock(state_mutex_);
         ++totals_.rejected_hellos;
         return ack_frame(ack);
@@ -178,8 +174,6 @@ std::string Collector::on_frame(PeerState& peer, MsgType type,
       if (!first && booked->second != hello.role) {
         ack.status = AckStatus::kRejected;
         ++totals_.rejected_hellos;
-        if (obs::recording())
-          obs::CollectorMetrics::get().rejected_hellos.inc();
         return ack_frame(ack);
       }
       peer.hello_ok = true;
@@ -188,8 +182,6 @@ std::string Collector::on_frame(PeerState& peer, MsgType type,
       if (!site.connected) {
         site.connected = true;
         ++totals_.connected_sites;
-        if (obs::recording())
-          obs::CollectorMetrics::get().connected_sites.add(1);
       }
       // A fresh agent resuming above last_epoch+1 (e.g. restart with a new
       // first_epoch) is an epoch gap; account it like any other drop.
@@ -200,8 +192,6 @@ std::string Collector::on_frame(PeerState& peer, MsgType type,
         // Advance last_epoch past the gap so the first delta of the new
         // connection does not count the same missing epochs again.
         site.last_epoch = hello.first_epoch - 1;
-        if (obs::recording())
-          obs::CollectorMetrics::get().dropped_epochs.inc(gap);
       }
       // Resume watermark: the highest epoch already durable/merged for this
       // site. The agent prunes spooled epochs at or below it instead of
@@ -293,8 +283,6 @@ std::string Collector::handle_delta(PeerState& peer,
       ack.status = AckStatus::kDuplicate;
       ++site.duplicate_deltas;
       ++totals_.duplicate_deltas;
-      if (obs::recording())
-        obs::CollectorMetrics::get().duplicate_deltas.inc();
       const auto watermark = recovered_watermarks_.find(delta.site_id);
       if (watermark != recovered_watermarks_.end() &&
           delta.epoch <= watermark->second) {
@@ -302,8 +290,6 @@ std::string Collector::handle_delta(PeerState& peer,
         // dedup working as designed. Counted separately as the double-merge
         // oracle.
         ++totals_.post_recovery_duplicates;
-        if (obs::recording())
-          obs::CheckpointMetrics::get().post_recovery_duplicates.inc();
       }
       return ack_frame(ack);
     }
@@ -318,10 +304,6 @@ std::string Collector::handle_delta(PeerState& peer,
   if (!decision.admitted) {
     ack.status = AckStatus::kRetryLater;
     ack.retry_after_ms = decision.retry_after_ms;
-    if (obs::recording()) {
-      obs::CollectorMetrics::get().shed_deltas.inc();
-      obs::CollectorMetrics::get().shed_bytes.inc(payload.size());
-    }
     std::lock_guard<std::mutex> lock(state_mutex_);
     ++totals_.shed_deltas;
     totals_.shed_bytes += payload.size();
@@ -359,7 +341,6 @@ std::string Collector::handle_delta(PeerState& peer,
     ack.status = AckStatus::kDuplicate;
     ++site.duplicate_deltas;
     ++totals_.duplicate_deltas;
-    if (obs::recording()) obs::CollectorMetrics::get().duplicate_deltas.inc();
     return ack_frame(ack);
   }
   // Leaf uplink tap, before the durability barrier: if the uplink spool
@@ -373,7 +354,6 @@ std::string Collector::handle_delta(PeerState& peer,
     ack.retry_after_ms = config_.tap_retry_after_ms;
     ++totals_.tap_shed_deltas;
     ++site.shed_deltas;
-    if (obs::recording()) obs::FederationMetrics::get().tap_shed_deltas.inc();
     return ack_frame(ack);
   }
   // Durability barrier: the delta must hit the journal (fsync'd) BEFORE it
@@ -385,10 +365,7 @@ std::string Collector::handle_delta(PeerState& peer,
       journal_.append(delta.site_id, delta.epoch, delta.updates,
                       delta.sketch_blob, &fsync_ns);
       ++totals_.journal_records;
-      if (obs::recording()) {
-        obs::CheckpointMetrics::get().journal_records.inc();
-        obs::CheckpointMetrics::get().fsync_ns.observe(fsync_ns);
-      }
+      fsync_ns_.observe(fsync_ns);
     } catch (const std::runtime_error& error) {
       throw WireError(std::string("collector: journal append failed: ") +
                       error.what());
@@ -404,10 +381,7 @@ std::string Collector::handle_delta(PeerState& peer,
         trace.stamp(obs::TraceStage::kJournaled));
   merge_delta_locked(delta.site_id, delta.epoch, delta.updates, sketch,
                      &trace);
-  if (peer.role == PeerRole::kLeaf) {
-    ++totals_.relayed_deltas;
-    if (obs::recording()) obs::FederationMetrics::get().relayed_deltas.inc();
-  }
+  if (peer.role == PeerRole::kLeaf) ++totals_.relayed_deltas;
   if (obs::recording()) trace_ring_.push(trace);
   if (store_ && ++deltas_since_checkpoint_ >= config_.checkpoint_every) {
     try {
@@ -442,7 +416,6 @@ std::string Collector::wrong_shard_ack_locked(std::uint64_t epoch) {
   ack.map_version = shard_map_.version();
   ack.map_blob = shard_map_.encode();
   ++totals_.wrong_shard_acks;
-  if (obs::recording()) obs::FederationMetrics::get().wrong_shard_acks.inc();
   return ack_frame(ack);
 }
 
@@ -456,7 +429,6 @@ void Collector::set_shard_map(const ShardMap& map) {
         "delayed push must never roll the topology back)");
   shard_map_ = map;
   ++totals_.reshards;
-  if (obs::recording()) obs::FederationMetrics::get().reshards.inc();
   state_cv_.notify_all();
 }
 
@@ -480,7 +452,6 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
     gaps->second.erase(epoch);
     if (gaps->second.empty()) gap_epochs_.erase(gaps);
     ++totals_.gap_fills;
-    if (obs::recording()) obs::FederationMetrics::get().gap_fills.inc();
   } else if (epoch > site.last_epoch + 1) {
     const std::uint64_t gap = epoch - site.last_epoch - 1;
     if (config_.federation_root) {
@@ -499,10 +470,6 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
         site.dropped_epochs += overflow;
         totals_.dropped_epochs += overflow;
         totals_.gap_overflow_epochs += overflow;
-        if (obs::recording()) {
-          obs::CollectorMetrics::get().dropped_epochs.inc(overflow);
-          obs::FederationMetrics::get().gap_overflow_epochs.inc(overflow);
-        }
         first_tracked += overflow;
       }
       for (std::uint64_t e = first_tracked; e < epoch; ++e) gaps.insert(e);
@@ -510,12 +477,10 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
     } else {
       site.dropped_epochs += gap;
       totals_.dropped_epochs += gap;
-      if (obs::recording())
-        obs::CollectorMetrics::get().dropped_epochs.inc(gap);
     }
   }
   {
-    obs::ScopedTimer timer(obs::CollectorMetrics::get().merge_ns);
+    obs::ScopedTimer timer(merge_ns_);
     merged_.merge_sketch(sketch);
     if (trace) {
       trace->stamp(obs::TraceStage::kMerged) = obs::unix_now_ns();
@@ -560,7 +525,6 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
   ++site.epochs_merged;
   site.updates_merged += updates;
   ++totals_.deltas_merged;
-  if (obs::recording()) obs::CollectorMetrics::get().deltas.inc();
 }
 
 void Collector::recover() {
@@ -571,8 +535,6 @@ void Collector::recover() {
   std::uint64_t corrupt_skipped = 0;
   auto loaded = store_->load_latest(&corrupt_skipped);
   totals_.corrupt_generations_skipped = corrupt_skipped;
-  if (obs::recording() && corrupt_skipped > 0)
-    obs::CheckpointMetrics::get().corrupt_skipped.inc(corrupt_skipped);
 
   bool restored = false;
   std::uint64_t replay_from = 0;
@@ -620,8 +582,6 @@ void Collector::recover() {
       // order, so replay re-runs the exact out-of-order merge sequence.
       if (already_merged_locked(site, record.epoch)) {
         ++totals_.replay_deduped;
-        if (obs::recording())
-          obs::CheckpointMetrics::get().replay_deduped.inc();
         continue;
       }
       // The record CRC already verified the blob byte-for-byte; a decode
@@ -649,16 +609,11 @@ void Collector::recover() {
         config_.delta_tap(record.site_id, record.epoch, record.updates,
                           record.sketch_blob, /*replay=*/true);
       ++totals_.replayed_epochs;
-      if (obs::recording())
-        obs::CheckpointMetrics::get().replayed_epochs.inc();
       restored = true;
     }
   }
 
-  if (restored) {
-    ++totals_.recoveries;
-    if (obs::recording()) obs::CheckpointMetrics::get().recoveries.inc();
-  }
+  if (restored) ++totals_.recoveries;
   for (const auto& [site_id, site] : sites_) {
     recovered_watermarks_[site_id] = site.last_epoch;
     if (site.last_epoch > 0) peer_roles_.try_emplace(site_id, PeerRole::kSite);
@@ -701,7 +656,7 @@ void Collector::write_checkpoint_locked() {
                                     config_.journal_fsync);
     return;
   }
-  obs::ScopedTimer timer(obs::CheckpointMetrics::get().write_ns);
+  obs::ScopedTimer timer(checkpoint_write_ns_);
 
   CheckpointState state = build_checkpoint_state_locked();
   // Number above every file present — even a corrupt newer generation —
@@ -719,12 +674,9 @@ void Collector::write_checkpoint_locked() {
                                 config_.journal_fsync);
   deltas_since_checkpoint_ = 0;
   ++totals_.checkpoints_written;
+  totals_.checkpoint_bytes_written += bytes;
   store_->prune_retained(generation_);
-  if (obs::recording()) {
-    obs::CheckpointMetrics::get().generations.inc();
-    obs::CheckpointMetrics::get().bytes_written.inc(bytes);
-    obs::CheckpointMetrics::get().fsync_ns.observe(fsync_ns);
-  }
+  fsync_ns_.observe(fsync_ns);
 }
 
 bool Collector::checkpoint_now() {
@@ -773,10 +725,119 @@ Collector::Stats Collector::stats() const {
   out.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
   for (const auto& [site_id, gaps] : gap_epochs_)
     out.pending_gap_epochs += gaps.size();
-  if (obs::recording())
-    obs::FederationMetrics::get().pending_gap_epochs.set(
-        static_cast<std::int64_t>(out.pending_gap_epochs));
   return out;
+}
+
+void Collector::export_stats(obs::SampleWriter& out) const {
+  const Stats s = stats();
+  out.counter("dcs_collector_frames_total",
+              "Wire frames decoded by sketch-shipping collectors", s.frames);
+  out.counter("dcs_collector_frame_errors_total",
+              "Malformed frames or payloads rejected (connection dropped)",
+              s.frame_errors);
+  out.counter("dcs_collector_deltas_total",
+              "Per-epoch sketch deltas merged into the global tracker",
+              s.deltas_merged);
+  out.counter("dcs_collector_duplicate_deltas_total",
+              "Retransmitted deltas deduplicated by per-site epoch tracking",
+              s.duplicate_deltas);
+  out.counter("dcs_collector_dropped_epochs_total",
+              "Site epochs lost to spool overflow or agent restarts (gaps in "
+              "the per-site epoch sequence)",
+              s.dropped_epochs);
+  out.counter("dcs_collector_rejected_hellos_total",
+              "Handshakes rejected: sketch-parameter mismatch, an id already "
+              "booked under the other role, or a leaf uplink at a non-root "
+              "collector",
+              s.rejected_hellos);
+  out.gauge("dcs_collector_connected_sites", "Site agents currently connected",
+            static_cast<std::int64_t>(s.connected_sites));
+  out.histogram("dcs_collector_merge_latency_ns",
+                "Delta merge + tracking rebuild + detection check latency, ns",
+                merge_ns_);
+  out.counter("dcs_collector_shed_deltas_total",
+              "Deltas NACKed kRetryLater by admission control (re-shipped by "
+              "the site later; shed, not lost)",
+              s.shed_deltas);
+  out.counter("dcs_collector_shed_bytes_total",
+              "Payload bytes of deltas shed by admission control",
+              s.shed_bytes);
+  out.counter("dcs_collector_deadline_drops_total",
+              "Connections dropped for holding a partial frame past the frame "
+              "deadline (slow-loris defense)",
+              s.deadline_drops);
+  out.counter("dcs_collector_idle_reaped_total",
+              "Connections reaped after the idle timeout with no traffic",
+              s.idle_reaped);
+  out.gauge("dcs_collector_inflight_bytes",
+            "Delta bytes admitted but not yet merged and released (bounded "
+            "by the admission budget)",
+            static_cast<std::int64_t>(inflight_bytes()));
+
+  out.counter("dcs_checkpoint_generations_total",
+              "Checkpoint generations written durably by collectors",
+              s.checkpoints_written);
+  out.counter("dcs_checkpoint_bytes_written_total",
+              "Bytes of checkpoint state written (before journal rotation)",
+              s.checkpoint_bytes_written);
+  out.counter("dcs_checkpoint_journal_records_total",
+              "Delta records appended to the epoch journal (fsync'd before "
+              "ack)",
+              s.journal_records);
+  out.counter("dcs_checkpoint_recoveries_total",
+              "Collector starts that restored state from a "
+              "checkpoint/journal",
+              s.recoveries);
+  out.counter("dcs_checkpoint_corrupt_generations_total",
+              "Checkpoint generations skipped at recovery (CRC or decode "
+              "failure; fell back to an older generation)",
+              s.corrupt_generations_skipped);
+  out.counter("dcs_checkpoint_replayed_epochs_total",
+              "Journaled epoch deltas re-merged during recovery",
+              s.replayed_epochs);
+  out.counter("dcs_checkpoint_replay_deduped_total",
+              "Journaled records skipped during replay (already covered by "
+              "the loaded checkpoint's watermarks)",
+              s.replay_deduped);
+  out.counter("dcs_checkpoint_post_recovery_duplicates_total",
+              "Re-shipped pre-crash epochs acked-but-not-merged after a "
+              "recovery (watermark dedup; nonzero means agents "
+              "retransmitted, zero double-merges)",
+              s.post_recovery_duplicates);
+  out.histogram("dcs_checkpoint_write_latency_ns",
+                "Checkpoint encode + atomic publish latency, ns",
+                checkpoint_write_ns_);
+  out.histogram("dcs_checkpoint_fsync_latency_ns",
+                "fsync latency for journal appends and checkpoint publishes, "
+                "ns",
+                fsync_ns_);
+
+  out.counter("dcs_collector_wrong_shard_acks_total",
+              "Hellos/deltas answered kWrongShard because the site hashes to "
+              "another leaf under the current shard map (re-home churn)",
+              s.wrong_shard_acks);
+  out.counter("dcs_collector_reshards_total",
+              "Shard-map version bumps accepted via set_shard_map",
+              s.reshards);
+  out.counter("dcs_root_gap_fills_total",
+              "Out-of-order epochs merged into a previously recorded gap at "
+              "the federation root (exactly-once across relay paths)",
+              s.gap_fills);
+  out.gauge("dcs_root_pending_gap_epochs",
+            "Epochs below a site watermark the root is still awaiting "
+            "(drains to 0 once every leaf journal is re-forwarded)",
+            static_cast<std::int64_t>(s.pending_gap_epochs));
+  out.counter("dcs_root_gap_overflow_epochs_total",
+              "Epochs of a site jump beyond the root's per-site gap-ledger "
+              "bound, booked as dropped without being awaited",
+              s.gap_overflow_epochs);
+  out.counter("dcs_root_relayed_deltas_total",
+              "Deltas merged from role=leaf uplink connections at the root",
+              s.relayed_deltas);
+  out.counter("dcs_leaf_uplink_shed_total",
+              "Deltas NACKed kRetryLater because the leaf uplink spool was "
+              "full (backpressure to the agent, not loss)",
+              s.tap_shed_deltas);
 }
 
 std::size_t Collector::connection_count() const {

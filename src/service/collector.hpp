@@ -134,9 +134,9 @@ struct CollectorConfig {
   /// Non-zero makes this collector a *leaf* with that id: with a shard map
   /// set, Hellos and deltas for sites the map assigns to another leaf are
   /// answered kWrongShard (with the map attached) so the agent re-homes,
-  /// and hello acks push the map to peers holding a stale version. Leaf
-  /// ids must not collide with site ids — at the root both share the
-  /// per-site accounting namespace.
+  /// and hello acks push the map to peers holding a stale version. At the
+  /// root leaf ids and site ids share the per-site accounting namespace: a
+  /// Hello for an id already booked under the other role is rejected.
   std::uint64_t leaf_id = 0;
   /// Shard map served and enforced at start (empty = unsharded). Reshards
   /// arrive later via Collector::set_shard_map.
@@ -209,6 +209,7 @@ class Collector : private FrameHandler {
     // --- durability/recovery ledger (all zero when state_dir is empty) ------
     std::uint64_t journal_records = 0;     ///< Appends this process lifetime.
     std::uint64_t checkpoints_written = 0;
+    std::uint64_t checkpoint_bytes_written = 0;
     std::uint64_t recoveries = 0;          ///< 1 if this start restored state.
     std::uint64_t corrupt_generations_skipped = 0;
     std::uint64_t replayed_epochs = 0;     ///< Journal records re-merged.
@@ -356,6 +357,9 @@ class Collector : private FrameHandler {
   /// Caller holds state_mutex_. Shared by the durable checkpoint path and
   /// the query-tier publisher.
   CheckpointState build_checkpoint_state_locked() const;
+  /// The scrape-time source: stats(), inflight_bytes() and the latency
+  /// histograms as series labelled by this collector's bound address.
+  void export_stats(obs::SampleWriter& out) const;
 
   CollectorConfig config_;
   AdmissionController admission_;
@@ -411,6 +415,14 @@ class Collector : private FrameHandler {
   /// Last N merged-epoch traces; written by reactor workers (wait-free),
   /// read by the ops plane without touching state_mutex_.
   obs::TraceRing trace_ring_;
+
+  /// Latencies exported by export_stats (gated on obs::recording()).
+  obs::Histogram merge_ns_;
+  obs::Histogram checkpoint_write_ns_;
+  obs::Histogram fsync_ns_;
+  /// Registered by start() once the address is bound; declared last so a
+  /// scrape in progress finishes before any member it reads is destroyed.
+  obs::SourceHandle metrics_source_;
 };
 
 }  // namespace dcs::service

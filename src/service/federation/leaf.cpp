@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
@@ -18,6 +17,9 @@ LeafUplink::LeafUplink(LeafUplinkConfig config)
     throw std::invalid_argument("LeafUplink: leaf_id must be non-zero");
   if (config_.spool_deltas == 0)
     throw std::invalid_argument("LeafUplink: spool_deltas must be > 0");
+  metrics_source_ = obs::Registry::global().add_source(
+      {{"leaf", std::to_string(config_.leaf_id)}},
+      [this](obs::SampleWriter& out) { export_stats(out); });
 }
 
 LeafUplink::~LeafUplink() {
@@ -55,20 +57,12 @@ bool LeafUplink::offer(std::uint64_t site_id, std::uint64_t epoch,
   auto blob = std::make_shared<const std::string>(sketch_blob);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!force && spool_.size() >= config_.spool_deltas) {
-      // Backpressure, not loss: the collector NACKs the agent kRetryLater
-      // and the delta stays in the agent's spool.
-      ++stats_.shed_offers;
-      return false;
-    }
+    // Backpressure, not loss: the collector NACKs the agent kRetryLater
+    // (and counts the shed) while the delta stays in the agent's spool.
+    if (!force && spool_.size() >= config_.spool_deltas) return false;
     spool_.push_back({site_id, epoch, updates, std::move(blob)});
     ++stats_.relayed;
     stats_.spool_depth = spool_.size();
-    if (obs::recording()) {
-      obs::FederationMetrics::get().uplink_relayed.inc();
-      obs::FederationMetrics::get().uplink_spool_depth.set(
-          static_cast<std::int64_t>(spool_.size()));
-    }
   }
   cv_.notify_all();
   return true;
@@ -92,6 +86,25 @@ LeafUplink::Stats LeafUplink::stats() const {
   return stats_;
 }
 
+void LeafUplink::export_stats(obs::SampleWriter& out) const {
+  const Stats s = stats();
+  out.counter("dcs_leaf_uplink_relayed_total",
+              "Deltas enqueued on the leaf uplink spool for relay to the root",
+              s.relayed);
+  out.counter("dcs_leaf_uplink_acked_total",
+              "Relayed deltas acknowledged by the root (kOk or kDuplicate)",
+              s.root_acks + s.root_duplicates);
+  out.counter("dcs_leaf_uplink_nacks_total",
+              "Relayed deltas NACKed kRetryLater by the root (re-shipped)",
+              s.nacks);
+  out.counter("dcs_leaf_uplink_reconnects_total",
+              "Leaf uplink reconnect attempts to the root", s.reconnects);
+  out.gauge("dcs_leaf_uplink_spool_depth",
+            "Relayed deltas spooled on the leaf uplink awaiting a root ack "
+            "(leaf lag)",
+            static_cast<std::int64_t>(s.spool_depth));
+}
+
 std::uint64_t LeafUplink::next_backoff_ms() {
   backoff_ms_ = backoff_ms_ == 0
                     ? config_.backoff_initial_ms
@@ -109,8 +122,6 @@ void LeafUplink::sender_loop() {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.reconnects;
       }
-      if (obs::recording())
-        obs::FederationMetrics::get().uplink_reconnects.inc();
       const auto delay = std::chrono::milliseconds(next_backoff_ms());
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait_for(lock, delay,
@@ -236,8 +247,6 @@ bool LeafUplink::run_connection() {
           std::lock_guard<std::mutex> lock(mutex_);
           ++stats_.nacks;
         }
-        if (obs::recording())
-          obs::FederationMetrics::get().uplink_nacks.inc();
         const std::uint64_t wait_ms = std::min<std::uint64_t>(
             std::max<std::uint32_t>(ack->retry_after_ms, 1),
             config_.backoff_max_ms);
@@ -256,11 +265,6 @@ bool LeafUplink::run_connection() {
         else
           ++stats_.root_acks;
         stats_.spool_depth = spool_.size();
-        if (obs::recording()) {
-          obs::FederationMetrics::get().uplink_acked.inc();
-          obs::FederationMetrics::get().uplink_spool_depth.set(
-              static_cast<std::int64_t>(spool_.size()));
-        }
       }
       cv_.notify_all();
     }

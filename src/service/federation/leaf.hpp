@@ -43,8 +43,9 @@
 namespace dcs::service {
 
 struct LeafUplinkConfig {
-  /// Leaf id announced in the uplink Hello (must not collide with any site
-  /// id — the root accounts both in one per-site namespace).
+  /// Leaf id announced in the uplink Hello. The root accounts leaf and
+  /// site ids in one per-site namespace and rejects a Hello whose id is
+  /// already booked under the other role.
   std::uint64_t leaf_id = 0;
   std::string root_host = "127.0.0.1";
   std::uint16_t root_port = 0;
@@ -76,7 +77,6 @@ class LeafUplink {
     std::uint64_t root_duplicates = 0;  ///< kDuplicate acks (re-forwarded
                                         ///< records the root already had).
     std::uint64_t nacks = 0;            ///< kRetryLater from the root.
-    std::uint64_t shed_offers = 0;      ///< offer() refused (spool full).
     std::uint64_t reconnects = 0;
     std::uint64_t io_errors = 0;
     std::size_t spool_depth = 0;
@@ -99,7 +99,8 @@ class LeafUplink {
 
   /// Enqueue one delta for relay. Returns false — without enqueueing —
   /// when the spool is at capacity and `force` is false; the caller (the
-  /// collector's delta tap) turns that into a kRetryLater NACK upstream.
+  /// collector's delta tap) turns that into a kRetryLater NACK upstream and
+  /// counts it (Collector::Stats::tap_shed_deltas).
   /// `force` is for recovery replay, which must never shed. The blob is
   /// copied once, into the spool.
   bool offer(std::uint64_t site_id, std::uint64_t epoch, std::uint64_t updates,
@@ -127,6 +128,8 @@ class LeafUplink {
   void sender_loop();
   bool run_connection();
   std::uint64_t next_backoff_ms();
+  /// The scrape-time source: stats() as series labelled by leaf id.
+  void export_stats(obs::SampleWriter& out) const;
 
   LeafUplinkConfig config_;
 
@@ -141,6 +144,10 @@ class LeafUplink {
 
   Xoshiro256 jitter_;
   std::uint64_t backoff_ms_ = 0;
+
+  /// Declared last so a scrape in progress finishes before any member it
+  /// reads is destroyed.
+  obs::SourceHandle metrics_source_;
 };
 
 struct LeafCollectorConfig {

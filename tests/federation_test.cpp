@@ -14,7 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/instruments.hpp"
+#include "obs/metrics.hpp"
+#include "obs_series.hpp"
 #include "service/agent.hpp"
 #include "service/collector.hpp"
 #include "service/federation/leaf.hpp"
@@ -43,6 +44,10 @@ std::vector<LeafEndpoint> make_leaves(std::size_t n,
     leaves.push_back(LeafEndpoint{
         1001 + i, "127.0.0.1", static_cast<std::uint16_t>(base_port + i)});
   return leaves;
+}
+
+obs::Labels collector_label(const Collector& collector) {
+  return {{"collector", "127.0.0.1:" + std::to_string(collector.port())}};
 }
 
 std::string serialize_sketch(const DistinctCountSketch& sketch) {
@@ -320,12 +325,11 @@ TEST(FederationRoot, GapLedgerOverflowIsCountedApart) {
   config.io_timeout_ms = 50;
   Collector root(config);
   root.start();
-  const std::uint64_t gap_fills_before =
-      obs::recording() ? obs::FederationMetrics::get().gap_fills.value() : 0;
-  const std::uint64_t overflow_before =
-      obs::recording()
-          ? obs::FederationMetrics::get().gap_overflow_epochs.value()
-          : 0;
+  const obs::Labels label = collector_label(root);
+  const auto series = [&](const char* name) {
+    return test::counter_value(obs::Registry::global().snapshot(), name,
+                               label);
+  };
 
   RawLeafPeer peer;
   ASSERT_TRUE(peer.hello(root.port(), 1001, config.params));
@@ -343,11 +347,8 @@ TEST(FederationRoot, GapLedgerOverflowIsCountedApart) {
   EXPECT_EQ(stats.pending_gap_epochs, Collector::kMaxTrackedGapEpochs);
   EXPECT_EQ(stats.gap_overflow_epochs, kOverflow);
   EXPECT_EQ(stats.dropped_epochs, kOverflow);
-  if (obs::recording()) {
-    EXPECT_EQ(obs::FederationMetrics::get().gap_overflow_epochs.value() -
-                  overflow_before,
-              kOverflow);
-  }
+  EXPECT_EQ(series("dcs_root_gap_overflow_epochs_total"), kOverflow);
+  EXPECT_EQ(series("dcs_collector_dropped_epochs_total"), kOverflow);
 
   // The oldest tracked epoch still fills its gap; an overflowed one was
   // given up on, so it is answered as a duplicate and never merged.
@@ -364,11 +365,34 @@ TEST(FederationRoot, GapLedgerOverflowIsCountedApart) {
   EXPECT_EQ(stats.pending_gap_epochs, Collector::kMaxTrackedGapEpochs - 1);
   EXPECT_EQ(stats.gap_overflow_epochs, kOverflow);
   EXPECT_EQ(stats.dropped_epochs, kOverflow);
-  if (obs::recording()) {
-    EXPECT_EQ(obs::FederationMetrics::get().gap_fills.value() -
-                  gap_fills_before,
-              1u);
-  }
+  EXPECT_EQ(series("dcs_root_gap_fills_total"), 1u);
+  EXPECT_EQ(series("dcs_root_gap_overflow_epochs_total"), kOverflow);
+  root.stop();
+}
+
+/// The pending-gap gauge is read from the root's ledger at scrape time, so
+/// it is right in a scrape that no stats() call preceded.
+TEST(FederationRoot, PendingGapGaugeIsLiveWithoutAStatsCall) {
+  CollectorConfig config;
+  config.params = small_params();
+  config.federation_root = true;
+  config.run_detection = false;
+  config.io_timeout_ms = 50;
+  Collector root(config);
+  root.start();
+  const auto pending = [&] {
+    return test::gauge_value(obs::Registry::global().snapshot(),
+                             "dcs_root_pending_gap_epochs",
+                             collector_label(root));
+  };
+
+  RawLeafPeer peer;
+  ASSERT_TRUE(peer.hello(root.port(), 1001, config.params));
+  ASSERT_EQ(peer.ship(config.params, 7, 1)->status, AckStatus::kOk);
+  ASSERT_EQ(peer.ship(config.params, 7, 5)->status, AckStatus::kOk);
+  EXPECT_EQ(pending(), 3);  // epochs 2..4 awaited
+  ASSERT_EQ(peer.ship(config.params, 7, 3)->status, AckStatus::kOk);
+  EXPECT_EQ(pending(), 2);
   root.stop();
 }
 
@@ -487,6 +511,98 @@ TEST(FederationRoot, ShardedLeafBouncesForeignSitesWithTheMap) {
   ASSERT_TRUE(ok_ack.has_value());
   EXPECT_EQ(ok_ack->status, AckStatus::kOk);
   leaf.stop();
+}
+
+// --- leaf uplink -------------------------------------------------------------
+
+/// Each uplink exports its own spool depth, labelled by leaf id; two leaves
+/// in one process no longer overwrite one process-wide gauge.
+TEST(FederationLeaf, TwoLeavesExportTwoSpoolDepths) {
+  std::vector<std::unique_ptr<LeafUplink>> uplinks;
+  for (const std::uint64_t leaf_id : {1001ull, 1002ull}) {
+    LeafUplinkConfig config;
+    config.leaf_id = leaf_id;
+    config.root_port = 1;  // never started: offers stay spooled
+    config.params = small_params();
+    uplinks.push_back(std::make_unique<LeafUplink>(config));
+  }
+  ASSERT_TRUE(uplinks[0]->offer(7, 1, 1, "a", false));
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch)
+    ASSERT_TRUE(uplinks[1]->offer(8, epoch, 1, "b", false));
+
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  EXPECT_EQ(test::series_count(snapshot.gauges, "dcs_leaf_uplink_spool_depth"),
+            2u);
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_leaf_uplink_spool_depth",
+                              {{"leaf", "1001"}}),
+            1);
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_leaf_uplink_spool_depth",
+                              {{"leaf", "1002"}}),
+            3);
+  EXPECT_EQ(test::counter_value(snapshot, "dcs_leaf_uplink_relayed_total",
+                                {{"leaf", "1002"}}),
+            3u);
+}
+
+/// The tap-shed path: a leaf whose uplink spool (1 delta) is full because
+/// the root is unreachable NACKs the next agent delta kRetryLater. The shed
+/// is counted once, in the leaf collector's Stats and its labelled series,
+/// and the delta merges once the spool drains into a root that came up.
+TEST(FederationLeaf, FullUplinkSpoolShedsTheAgentDeltaOnce) {
+  const DcsParams params = small_params();
+  // Reserve a port for the root, then leave it closed: unreachable.
+  std::uint16_t root_port = 0;
+  {
+    auto probe = TcpListener::listen("127.0.0.1", 0);
+    ASSERT_TRUE(probe.has_value());
+    root_port = probe->port();
+  }
+  LeafCollectorConfig leaf_config;
+  leaf_config.collector.params = params;
+  leaf_config.collector.io_timeout_ms = 25;
+  leaf_config.collector.run_detection = false;
+  leaf_config.collector.leaf_id = 1001;
+  leaf_config.root_port = root_port;
+  leaf_config.uplink_spool = 1;
+  LeafCollector leaf(leaf_config);
+  leaf.start();
+  const obs::Labels label = collector_label(leaf.collector());
+
+  RawLeafPeer site;
+  ASSERT_TRUE(site.hello(leaf.collector().port(), 7, params, PeerRole::kSite));
+  EXPECT_EQ(site.ship(params, 7, 1)->status, AckStatus::kOk);
+  const auto shed = site.ship(params, 7, 2);
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->status, AckStatus::kRetryLater);
+  EXPECT_EQ(shed->retry_after_ms, leaf_config.collector.tap_retry_after_ms);
+
+  auto stats = leaf.collector().stats();
+  EXPECT_EQ(stats.tap_shed_deltas, 1u);
+  EXPECT_EQ(stats.deltas_merged, 1u);
+  EXPECT_EQ(test::counter_value(obs::Registry::global().snapshot(),
+                                "dcs_leaf_uplink_shed_total", label),
+            1u);
+
+  CollectorConfig root_config;
+  root_config.params = params;
+  root_config.federation_root = true;
+  root_config.run_detection = false;
+  root_config.io_timeout_ms = 25;
+  root_config.port = root_port;
+  Collector root(root_config);
+  root.start();
+  ASSERT_TRUE(leaf.uplink().flush(15000));
+
+  EXPECT_EQ(site.ship(params, 7, 2)->status, AckStatus::kOk);
+  ASSERT_TRUE(root.wait_for_deltas(2, 15000));
+  stats = leaf.collector().stats();
+  EXPECT_EQ(stats.tap_shed_deltas, 1u);
+  EXPECT_EQ(stats.deltas_merged, 2u);
+  EXPECT_EQ(test::counter_value(obs::Registry::global().snapshot(),
+                                "dcs_leaf_uplink_shed_total", label),
+            1u);
+  leaf.stop();
+  root.stop();
 }
 
 // --- two-tier relay differential --------------------------------------------

@@ -1,8 +1,10 @@
 // Semantics of the telemetry primitives (obs/metrics.hpp): counters, gauges,
-// log2 histograms, the runtime enable switch, and Registry find-or-create —
-// single-threaded contracts plus a multi-threaded hammer over the lock-free
-// mutation paths.
+// log2 histograms, the runtime enable switch, Registry find-or-create and
+// scrape-time sources — single-threaded contracts plus multi-threaded
+// hammers over the lock-free mutation paths and source removal.
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,15 +16,12 @@ namespace dcs::obs {
 namespace {
 
 /// Every test runs with recording on and restores the prior switch state,
-/// so ordering between tests (and other suites) doesn't leak. When
-/// telemetry is compiled out (DCS_OBS_ENABLE=OFF) the gated mutators are
-/// no-ops by design, so the suite skips.
+/// so ordering between tests (and other suites) doesn't leak.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     was_enabled_ = enabled();
     set_enabled(true);
-    if (!recording()) GTEST_SKIP() << "telemetry compiled out";
   }
   void TearDown() override { set_enabled(was_enabled_); }
 
@@ -165,6 +164,71 @@ TEST_F(ObsRegistryTest, SnapshotIsSortedAndPointInTime) {
   // Later mutations don't show up in an already-taken snapshot.
   alpha.inc(100);
   EXPECT_EQ(snap.counters[0].value, 2u);
+}
+
+TEST_F(ObsRegistryTest, SourcesAreSampledAtScrapeAndSortedWithInstruments) {
+  Registry registry;
+  registry.counter("b_total", "B").inc(1);
+  std::uint64_t events = 5;
+  Histogram latency;
+  latency.observe(3);
+  SourceHandle handle = registry.add_source(
+      {{"instance", "x"}}, [&](SampleWriter& out) {
+        out.counter("a_total", "A", events);
+        out.counter("c_total", "C", events * 2);
+        out.gauge("depth", "Depth", -2);
+        out.histogram("latency_ns", "Latency", latency);
+      });
+
+  Snapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 3u);
+  EXPECT_EQ(snap.counters[0].id.name, "a_total");
+  EXPECT_EQ(snap.counters[0].id.labels, (Labels{{"instance", "x"}}));
+  EXPECT_EQ(snap.counters[0].value, 5u);
+  EXPECT_EQ(snap.counters[1].id.name, "b_total");
+  EXPECT_EQ(snap.counters[2].value, 10u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, -2);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].hist.count, 1u);
+
+  // Read at scrape time, whatever the runtime switch says.
+  events = 7;
+  set_enabled(false);
+  EXPECT_EQ(registry.snapshot().counters[0].value, 7u);
+  set_enabled(true);
+
+  // A moved handle keeps the source; resetting it removes the source.
+  SourceHandle moved = std::move(handle);
+  EXPECT_EQ(registry.snapshot().counters.size(), 3u);
+  moved.reset();
+  snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].id.name, "b_total");
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST_F(ObsRegistryTest, SourceRemovalWaitsForTheScrapeCallingIt) {
+  Registry registry;
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) (void)registry.snapshot();
+  });
+  for (int i = 0; i < 2000; ++i) {
+    // The source reads an object that dies right after its handle: the
+    // handle's destruction must not return while a scrape still calls it.
+    auto value = std::make_unique<std::uint64_t>(i);
+    SourceHandle handle = registry.add_source(
+        {{"round", "r"}}, [&value](SampleWriter& out) {
+          out.counter("round_total", "Round", *value);
+        });
+    handle.reset();
+    value.reset();
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_TRUE(registry.snapshot().counters.empty());
 }
 
 TEST_F(ObsRegistryTest, ResetValuesKeepsReferencesValid) {

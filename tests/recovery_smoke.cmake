@@ -149,13 +149,15 @@ endif()
 
 # The dedup oracle: re-deliveries after the restart may happen (acks lost in
 # the crash) but every one must be *deduped*, and the metric must exist in
-# the exported snapshot.
+# the exported snapshot, labelled by the recovered collector's address.
+set(collector_label "[{]collector=\"127.0.0.1:[0-9]+\"[}]")
 file(READ ${WORK_DIR}/metrics.prom prom_text)
-if(NOT prom_text MATCHES "dcs_checkpoint_post_recovery_duplicates_total")
+if(NOT prom_text MATCHES
+   "dcs_checkpoint_post_recovery_duplicates_total${collector_label} [0-9]+")
   message(FATAL_ERROR "recovery_smoke: metrics.prom missing the "
     "post-recovery dedup counter:\n${prom_text}")
 endif()
-if(NOT prom_text MATCHES "dcs_checkpoint_recoveries_total 1")
+if(NOT prom_text MATCHES "dcs_checkpoint_recoveries_total${collector_label} 1")
   message(FATAL_ERROR "recovery_smoke: metrics.prom did not record the "
     "recovery:\n${prom_text}")
 endif()

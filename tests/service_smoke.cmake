@@ -46,11 +46,12 @@ foreach(needle
   endif()
 endforeach()
 
-# The collector's metric snapshot must carry the service counters.
+# The collector's metric snapshot must carry the service counters, labelled
+# by the collector's bound address.
 file(READ ${WORK_DIR}/metrics.prom prom_text)
 foreach(needle
-    "dcs_collector_deltas_total 16"
-    "dcs_collector_frame_errors_total 0"
+    "dcs_collector_deltas_total[{]collector=\"127.0.0.1:[0-9]+\"[}] 16"
+    "dcs_collector_frame_errors_total[{]collector=\"127.0.0.1:[0-9]+\"[}] 0"
     "# TYPE dcs_collector_merge_latency_ns histogram")
   if(NOT prom_text MATCHES "${needle}")
     message(FATAL_ERROR "service_smoke: metrics.prom missing "

@@ -9,6 +9,7 @@
 // and malformed frames are rejected without crashing anything.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -23,11 +24,14 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "obs/export.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs_series.hpp"
 #include "service/agent.hpp"
 #include "service/collector.hpp"
+#include "service/federation/leaf.hpp"
 #include "service/socket.hpp"
 #include "service/wire.hpp"
 #include "sketch/tracking_dcs.hpp"
@@ -1591,8 +1595,11 @@ TEST(ServiceTrace, CollectorTracesAreCompleteAndMonotone) {
 /// observations.
 TEST(ServiceTrace, HeartbeatRttIsMeasuredOnIdleConnections) {
   obs::set_enabled(true);
-  const std::uint64_t rtt_before =
-      obs::AgentMetrics::get().heartbeat_rtt_ns.snapshot().count;
+  const obs::Labels site_label{{"site", "1"}};
+  const auto rtt_count = [&] {
+    return test::histogram_count(obs::Registry::global().snapshot(),
+                                 "dcs_agent_heartbeat_rtt_ns", site_label);
+  };
 
   Collector collector(collector_config());
   collector.start();
@@ -1607,16 +1614,235 @@ TEST(ServiceTrace, HeartbeatRttIsMeasuredOnIdleConnections) {
   EXPECT_TRUE(agent.flush(5000));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (obs::AgentMetrics::get().heartbeat_rtt_ns.snapshot().count <
-             rtt_before + 2 &&
-         std::chrono::steady_clock::now() < deadline)
+  while (rtt_count() < 2 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   agent.stop();
 
-  const auto rtt = obs::AgentMetrics::get().heartbeat_rtt_ns.snapshot();
-  EXPECT_GE(rtt.count, rtt_before + 2)
+  EXPECT_GE(rtt_count(), 2u)
       << "no heartbeat RTT observed within the deadline";
   collector.stop();
+}
+
+// --- per-instance metrics ----------------------------------------------------
+
+obs::Labels collector_label(const Collector& collector) {
+  return {{"collector", "127.0.0.1:" + std::to_string(collector.port())}};
+}
+
+/// Every series a collector exports equals the matching field of its
+/// stats() (inflight_bytes() for the admission gauge), field for field.
+void expect_collector_series(const obs::Snapshot& snapshot,
+                             const Collector& collector) {
+  const Collector::Stats s = collector.stats();
+  const obs::Labels label = collector_label(collector);
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"dcs_collector_frames_total", s.frames},
+      {"dcs_collector_frame_errors_total", s.frame_errors},
+      {"dcs_collector_deltas_total", s.deltas_merged},
+      {"dcs_collector_duplicate_deltas_total", s.duplicate_deltas},
+      {"dcs_collector_dropped_epochs_total", s.dropped_epochs},
+      {"dcs_collector_rejected_hellos_total", s.rejected_hellos},
+      {"dcs_collector_shed_deltas_total", s.shed_deltas},
+      {"dcs_collector_shed_bytes_total", s.shed_bytes},
+      {"dcs_collector_deadline_drops_total", s.deadline_drops},
+      {"dcs_collector_idle_reaped_total", s.idle_reaped},
+      {"dcs_checkpoint_generations_total", s.checkpoints_written},
+      {"dcs_checkpoint_bytes_written_total", s.checkpoint_bytes_written},
+      {"dcs_checkpoint_journal_records_total", s.journal_records},
+      {"dcs_checkpoint_recoveries_total", s.recoveries},
+      {"dcs_checkpoint_corrupt_generations_total",
+       s.corrupt_generations_skipped},
+      {"dcs_checkpoint_replayed_epochs_total", s.replayed_epochs},
+      {"dcs_checkpoint_replay_deduped_total", s.replay_deduped},
+      {"dcs_checkpoint_post_recovery_duplicates_total",
+       s.post_recovery_duplicates},
+      {"dcs_collector_wrong_shard_acks_total", s.wrong_shard_acks},
+      {"dcs_collector_reshards_total", s.reshards},
+      {"dcs_root_gap_fills_total", s.gap_fills},
+      {"dcs_root_gap_overflow_epochs_total", s.gap_overflow_epochs},
+      {"dcs_root_relayed_deltas_total", s.relayed_deltas},
+      {"dcs_leaf_uplink_shed_total", s.tap_shed_deltas},
+  };
+  for (const auto& [name, value] : counters)
+    EXPECT_EQ(test::counter_value(snapshot, name, label), value) << name;
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_collector_connected_sites",
+                              label),
+            static_cast<std::int64_t>(s.connected_sites));
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_root_pending_gap_epochs", label),
+            static_cast<std::int64_t>(s.pending_gap_epochs));
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_collector_inflight_bytes", label),
+            static_cast<std::int64_t>(collector.inflight_bytes()));
+}
+
+void expect_uplink_series(const obs::Snapshot& snapshot,
+                          const LeafUplink& uplink) {
+  const LeafUplink::Stats s = uplink.stats();
+  const obs::Labels label{{"leaf", std::to_string(uplink.config().leaf_id)}};
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"dcs_leaf_uplink_relayed_total", s.relayed},
+      {"dcs_leaf_uplink_acked_total", s.root_acks + s.root_duplicates},
+      {"dcs_leaf_uplink_nacks_total", s.nacks},
+      {"dcs_leaf_uplink_reconnects_total", s.reconnects},
+  };
+  for (const auto& [name, value] : counters)
+    EXPECT_EQ(test::counter_value(snapshot, name, label), value) << name;
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_leaf_uplink_spool_depth", label),
+            static_cast<std::int64_t>(s.spool_depth));
+}
+
+void expect_agent_series(const obs::Snapshot& snapshot,
+                         const SiteAgent& agent) {
+  const SiteAgent::Stats s = agent.stats();
+  const obs::Labels label{{"site", std::to_string(agent.config().site_id)}};
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"dcs_agent_epochs_sealed_total", s.epochs_sealed},
+      {"dcs_agent_epochs_shipped_total", s.epochs_shipped},
+      {"dcs_agent_epochs_dropped_total", s.epochs_dropped},
+      {"dcs_agent_reconnects_total", s.reconnects},
+      {"dcs_agent_io_errors_total", s.io_errors},
+      {"dcs_agent_resume_skips_total", s.resume_skips},
+      {"dcs_agent_nacks_total", s.nacks},
+      {"dcs_agent_rehomes_total", s.rehomes},
+  };
+  for (const auto& [name, value] : counters)
+    EXPECT_EQ(test::counter_value(snapshot, name, label), value) << name;
+  EXPECT_EQ(test::gauge_value(snapshot, "dcs_agent_spool_depth", label),
+            static_cast<std::int64_t>(s.spool_depth));
+}
+
+/// A root, two leaves (each a collector plus its uplink) and two agents in
+/// one process: each instance exports its own labelled series, and every
+/// value is exactly its instance's Stats field — also with telemetry
+/// switched off for half of the traffic, since the series read Stats, not
+/// gated instruments.
+TEST(ServiceMetrics, EachInstanceExportsItsOwnStatsFieldForField) {
+  struct RestoreSwitch {
+    bool was = obs::enabled();
+    ~RestoreSwitch() { obs::set_enabled(was); }
+  } restore;
+  obs::set_enabled(true);
+
+  CollectorConfig root_config = collector_config();
+  root_config.federation_root = true;
+  root_config.run_detection = false;
+  Collector root(root_config);
+  root.start();
+
+  const std::string state_dir =
+      ::testing::TempDir() + "ServiceMetrics.EachInstance.state";
+  std::filesystem::remove_all(state_dir);
+  std::vector<std::unique_ptr<LeafCollector>> leaves;
+  for (const std::uint64_t leaf_id : {1001ull, 1002ull}) {
+    LeafCollectorConfig config;
+    config.collector = collector_config();
+    config.collector.run_detection = false;
+    config.collector.leaf_id = leaf_id;
+    // One durable leaf so the checkpoint series carry nonzero values.
+    if (leaf_id == 1001) config.collector.state_dir = state_dir;
+    config.root_port = root.port();
+    config.uplink_heartbeat_interval_ms = 50;
+    leaves.push_back(std::make_unique<LeafCollector>(config));
+    leaves.back()->start();
+  }
+  std::vector<std::unique_ptr<SiteAgent>> agents;
+  for (std::uint64_t site = 1; site <= 2; ++site) {
+    auto config =
+        agent_config(site, leaves[site - 1]->collector().port());
+    config.epoch_updates = 100;
+    agents.push_back(std::make_unique<SiteAgent>(config));
+    agents.back()->start();
+  }
+
+  const auto updates = zipf_updates(2000, 5);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (i == updates.size() / 2) obs::set_enabled(false);
+    agents[i % 2]->ingest(updates[i]);
+  }
+  std::uint64_t sealed = 0;
+  for (auto& agent : agents) {
+    ASSERT_TRUE(agent->flush(10000));
+    agent->stop();
+    sealed += agent->stats().epochs_sealed;
+  }
+  for (auto& leaf : leaves) leaf->stop(10000);
+  ASSERT_TRUE(root.wait_for_deltas(sealed, 10000));
+  root.stop();
+
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  expect_collector_series(snapshot, root);
+  for (const auto& leaf : leaves) {
+    expect_collector_series(snapshot, leaf->collector());
+    expect_uplink_series(snapshot, leaf->uplink());
+  }
+  for (const auto& agent : agents) expect_agent_series(snapshot, *agent);
+
+  // One series per instance, and the traffic really was counted.
+  EXPECT_EQ(test::series_count(snapshot.counters, "dcs_collector_deltas_total"),
+            3u);
+  EXPECT_EQ(test::series_count(snapshot.gauges, "dcs_leaf_uplink_spool_depth"),
+            2u);
+  EXPECT_EQ(test::series_count(snapshot.gauges, "dcs_agent_spool_depth"), 2u);
+  EXPECT_EQ(test::counter_value(snapshot, "dcs_collector_deltas_total",
+                                collector_label(root)),
+            sealed);
+  EXPECT_GT(test::counter_value(snapshot, "dcs_checkpoint_journal_records_total",
+                                collector_label(leaves[0]->collector())),
+            0u);
+}
+
+/// Lock order and lifetime: instances come and go while another thread
+/// scrapes in a loop. A source handle's destruction waits for the scrape
+/// calling it, so no scrape reads a destroyed instance (TSan/ASan run this)
+/// and no series outlives its instance.
+TEST(ServiceMetrics, InstancesDestroyedWhileScrapingLeaveNoSeries) {
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const auto text = obs::to_prometheus(obs::Registry::global().snapshot());
+      scrapes.fetch_add(text.empty() ? 0 : 1, std::memory_order_relaxed);
+    }
+  });
+
+  for (int round = 0; round < 20; ++round) {
+    Collector collector(collector_config());
+    collector.start();
+    LeafUplinkConfig uplink_config;
+    uplink_config.leaf_id = 1001;
+    uplink_config.root_port = collector.port();
+    uplink_config.params = small_params();
+    LeafUplink uplink(uplink_config);
+    SiteAgent agent(agent_config(1, collector.port()));
+    agent.start();
+    agent.ingest(1, 2, +1);
+    agent.seal_epoch();
+    EXPECT_TRUE(agent.flush(5000));
+    // Stopped or running, each instance leaves through its destructor with
+    // the scraper still going.
+    if (round % 2 == 0) {
+      agent.stop();
+      collector.stop();
+    }
+  }
+  const std::uint64_t before = scrapes.load(std::memory_order_relaxed);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (scrapes.load(std::memory_order_relaxed) < before + 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GE(scrapes.load(), before + 2);
+
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  EXPECT_EQ(test::series_count(snapshot.counters, "dcs_collector_frames_total"),
+            0u);
+  EXPECT_EQ(test::series_count(snapshot.counters,
+                               "dcs_leaf_uplink_relayed_total"),
+            0u);
+  EXPECT_EQ(test::series_count(snapshot.counters,
+                               "dcs_agent_epochs_sealed_total"),
+            0u);
 }
 
 }  // namespace

@@ -465,7 +465,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(uplink.root_acks),
                   static_cast<unsigned long long>(uplink.root_duplicates),
                   static_cast<unsigned long long>(uplink.nacks),
-                  static_cast<unsigned long long>(uplink.shed_offers),
+                  static_cast<unsigned long long>(stats.tap_shed_deltas),
                   static_cast<unsigned long long>(uplink.reconnects),
                   uplink.spool_depth, uplink.rejected ? 1 : 0);
       if (!leaf->uplink().drained()) {
