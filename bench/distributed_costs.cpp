@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
     std::string wire;
     Stopwatch ser_watch;
     {
-      wire.reserve(monitor.shard(0).serialized_size());
       BinaryWriter writer(wire);
       monitor.shard(0).serialize(writer);
     }

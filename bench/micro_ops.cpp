@@ -19,6 +19,7 @@
 #include "sketch/sliding_window.hpp"
 #include "sketch/distinct_count_sketch.hpp"
 #include "sketch/epoch_sketch.hpp"
+#include "sketch/sketch_hashes.hpp"
 #include "sketch/indexed_heap.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"
@@ -84,6 +85,39 @@ void BM_SignatureAdd16(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureAdd16)->DenseRange(0, 2);
+
+void BM_SketchHashBlock(benchmark::State& state) {
+  // The block hash of EpochSketch and DistinctCountSketch::update_batch:
+  // mix64, the level and the r = 3 bucket hashes of 64 keys per call.
+  // Arg = index into detail::hash_block_variants() (0 is the dispatched
+  // kernel, the last the portable per-key loop); variants this CPU lacks
+  // are skipped. Reports keys/s.
+  const auto variants = detail::hash_block_variants();
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (index >= variants.size()) {
+    state.SkipWithError("variant not available on this CPU");
+    return;
+  }
+  state.SetLabel(variants[index].name);
+  const detail::HashBlockFn hash = variants[index].fn;
+  const DcsParams params = bench_params();
+  const SketchHashes hashes(params);
+  constexpr std::size_t kKeys = EpochSketch::kBlock;
+  std::uint64_t keys[kKeys];
+  Xoshiro256 rng(1);
+  for (std::uint64_t& key : keys) key = rng();
+  std::uint8_t levels[kKeys];
+  std::uint32_t buckets[3 * kKeys];
+  for (auto _ : state) {
+    hash(hashes, keys, kKeys, levels, buckets, kKeys);
+    benchmark::DoNotOptimize(levels);
+    benchmark::DoNotOptimize(buckets);
+    keys[0] += 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKeys));
+}
+BENCHMARK(BM_SketchHashBlock)->DenseRange(0, 1);
 
 void BM_SignatureClassify(benchmark::State& state) {
   std::vector<std::int64_t> counters(65, 0);
@@ -344,9 +378,9 @@ BENCHMARK(BM_Crc32);
 void BM_DeltaCodecRoundTrip(benchmark::State& state) {
   // One hop of the delta path for one paper-sized epoch (the paper's 6.1
   // Zipf workload, 131072 updates over 50k destinations, default
-  // parameters: a ~3.4 MB blob): serialize the agent's epoch sketch, frame
-  // it, decode the frame at the collector and deserialize the blob.
-  // Reports blob bytes/s.
+  // parameters: a ~330 KB compact blob): serialize the agent's epoch
+  // sketch, frame it, decode the frame at the collector and deserialize
+  // the blob. Reports blob bytes/s.
   ZipfWorkloadConfig config;
   config.u_pairs = 131'072;
   config.num_destinations = 50'000;
@@ -359,7 +393,6 @@ void BM_DeltaCodecRoundTrip(benchmark::State& state) {
   std::size_t blob_bytes = 0;
   for (auto _ : state) {
     std::string blob;
-    blob.reserve(sketch.serialized_size());
     BinaryWriter writer(blob);
     sketch.serialize(writer);
     blob_bytes = blob.size();
@@ -380,18 +413,11 @@ void BM_DeltaCodecRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaCodecRoundTrip)->Unit(benchmark::kMillisecond);
 
-void BM_EpochIngest(benchmark::State& state) {
-  // The agent's router-thread work for paper-sized epochs (the paper's 6.1
-  // Zipf stream, 131072 updates over 50k destinations, default parameters),
-  // seal included. Arg 0: the former path, an int64 DistinctCountSketch per
-  // epoch, replaced by a fresh one at seal and serialized. Arg n >= 1: n
-  // EpochSketches (int16 counters widened once at seal), one site each, fed
-  // 256 updates at a time in turn as bench/e2e's generator feeds its agents,
-  // so n sites' staging compete for the cache. Every path writes the same
-  // blobs. Reports updates/s over all sites.
-  const int sites = static_cast<int>(state.range(0));
+/// The paper's 6.1 stream (Zipf z=1.5 over 50k destinations), one
+/// 131072-update epoch per site.
+std::vector<std::vector<FlowUpdate>> paper_epochs(int sites) {
   std::vector<std::vector<FlowUpdate>> streams;
-  for (int site = 0; site < std::max(sites, 1); ++site) {
+  for (int site = 0; site < sites; ++site) {
     ZipfWorkloadConfig config;
     config.u_pairs = 131'072;
     config.num_destinations = 50'000;
@@ -399,6 +425,19 @@ void BM_EpochIngest(benchmark::State& state) {
     config.seed = 31 + static_cast<std::uint64_t>(site);
     streams.push_back(ZipfWorkload(config).updates());
   }
+  return streams;
+}
+
+void BM_EpochIngest(benchmark::State& state) {
+  // The agent's router-thread ingest for paper-sized epochs (default
+  // parameters), seal excluded (BM_EpochSeal times it). Arg 0: the former
+  // path, an int64 DistinctCountSketch, replaced by a fresh one per epoch.
+  // Arg n >= 1: n EpochSketches (buffered, block-hashed int16 counters),
+  // one site each, fed 256 updates at a time in turn as bench/e2e's
+  // generator feeds its agents, so n sites' staging compete for the cache.
+  // Reports updates/s over all sites.
+  const int sites = static_cast<int>(state.range(0));
+  const auto streams = paper_epochs(std::max(sites, 1));
   const std::size_t epoch_updates = streams.front().size();
   const DcsParams params;
   DistinctCountSketch sketch(params);
@@ -409,35 +448,67 @@ void BM_EpochIngest(benchmark::State& state) {
     if (sites == 0) {
       for (const auto& u : streams.front())
         sketch.update(u.dest, u.source, u.delta);
-      const DistinctCountSketch sealed =
-          std::exchange(sketch, DistinctCountSketch(params));
-      std::string blob;
-      blob.reserve(sealed.serialized_size());
-      BinaryWriter writer(blob);
-      sealed.serialize(writer);
-      benchmark::DoNotOptimize(blob.data());
-    } else {
-      for (std::size_t at = 0; at < epoch_updates; at += kOffer) {
-        const std::size_t end = std::min(at + kOffer, epoch_updates);
-        for (int site = 0; site < sites; ++site) {
-          const auto& stream = streams[static_cast<std::size_t>(site)];
-          EpochSketch& epoch = epochs[static_cast<std::size_t>(site)];
-          for (std::size_t i = at; i < end; ++i)
-            epoch.update(stream[i].dest, stream[i].source, stream[i].delta);
-        }
-      }
-      for (EpochSketch& epoch : epochs) {
-        const std::string blob = epoch.seal();
-        benchmark::DoNotOptimize(blob.data());
+      benchmark::DoNotOptimize(sketch);
+      state.PauseTiming();
+      sketch = DistinctCountSketch(params);
+      state.ResumeTiming();
+      continue;
+    }
+    for (std::size_t at = 0; at < epoch_updates; at += kOffer) {
+      const std::size_t end = std::min(at + kOffer, epoch_updates);
+      for (int site = 0; site < sites; ++site) {
+        const auto& stream = streams[static_cast<std::size_t>(site)];
+        EpochSketch& epoch = epochs[static_cast<std::size_t>(site)];
+        for (std::size_t i = at; i < end; ++i)
+          epoch.update(stream[i].dest, stream[i].source, stream[i].delta);
       }
     }
     benchmark::ClobberMemory();
+    state.PauseTiming();
+    for (EpochSketch& epoch : epochs) benchmark::DoNotOptimize(epoch.seal());
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(epoch_updates) *
                           std::max(sites, 1));
 }
 BENCHMARK(BM_EpochIngest)->Arg(0)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_EpochSeal(benchmark::State& state) {
+  // The agent's seal of one paper-sized epoch (see BM_EpochIngest; ingest
+  // untimed): levels 0 and 1 folded into the int64 spill, every touched
+  // level packed into the compact blob. Arg 0: the former path's
+  // serialize of the int64 epoch sketch; arg 1: EpochSketch::seal. Both
+  // write the same blob; its size is the blob_bytes counter.
+  const bool epoch_form = state.range(0) == 1;
+  const auto streams = paper_epochs(1);
+  const DcsParams params;
+  EpochSketch epoch(params);
+  std::size_t blob_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    DistinctCountSketch sketch(params);
+    if (epoch_form) {
+      for (const auto& u : streams.front())
+        epoch.update(u.dest, u.source, u.delta);
+      (void)epoch.touched_levels();  // apply the last buffered block
+    } else {
+      sketch.update_batch(streams.front());
+    }
+    state.ResumeTiming();
+    std::string blob;
+    if (epoch_form) {
+      blob = epoch.seal();
+    } else {
+      BinaryWriter writer(blob);
+      sketch.serialize(writer);
+    }
+    blob_bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.counters["blob_bytes"] = static_cast<double>(blob_bytes);
+}
+BENCHMARK(BM_EpochSeal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,8 +1,9 @@
 // Telemetry overhead on the sketch update path: the instrumented hot loop
 // with metrics recording enabled vs. disabled at runtime. A second section
 // measures the epoch tracing layer (obs/trace.hpp) against the collector's
-// real per-epoch work — decode + merge of a shipped delta blob — with its
-// own 5% budget, and the whole run is summarized to BENCH_<date>.json.
+// real per-epoch work — validate a shipped delta blob and merge it straight
+// into the sketch — with its own 5% budget, and the whole run is summarized
+// to BENCH_<date>.json.
 //
 //   build/bench/obs_overhead [--updates 1000000] [--reps 15] [--threshold 12]
 //                            [--epochs 300] [--trace-threshold 5]
@@ -95,8 +96,9 @@ OverheadRow measure(const std::vector<FlowUpdate>& updates, DcsParams params,
   return row;
 }
 
-/// One timed pass of `epochs` simulated collector epochs: decode the delta
-/// blob and merge it — the real per-epoch work — then, exactly as the
+/// One timed pass of `epochs` simulated collector epochs: validate the
+/// delta blob and merge it from the bytes — the real per-epoch work, as
+/// Collector::handle_delta does it — then, exactly as the
 /// collector's delta path does when telemetry records, stamp the trace,
 /// observe every stage span plus freshness, and publish to the ring.
 /// Returns ns per epoch. With obs::set_enabled(false) the whole tracing
@@ -109,10 +111,7 @@ double run_epoch_pass(const std::string& blob, DcsParams params,
   obs::TraceMetrics& metrics = obs::TraceMetrics::get();
   Stopwatch watch;
   for (std::uint64_t epoch = 1; epoch <= epochs; ++epoch) {
-    std::istringstream in(blob, std::ios::binary);
-    BinaryReader reader(in);
-    const DistinctCountSketch delta = DistinctCountSketch::deserialize(reader);
-    accumulator.merge(delta);
+    accumulator.merge(SketchBlob::parse(blob));
     if (obs::recording()) {
       obs::EpochTrace trace;
       trace.site_id = 1;
@@ -249,7 +248,7 @@ int main(int argc, char** argv) {
   const std::string blob = std::move(blob_out).str();
 
   std::printf(
-      "\n# epoch tracing overhead: ns/epoch (decode+merge %zu-byte delta) "
+      "\n# epoch tracing overhead: ns/epoch (validate+merge %zu-byte delta) "
       "over %llu paired reps of %llu epochs (budget %.1f%%)\n",
       blob.size(), static_cast<unsigned long long>(reps),
       static_cast<unsigned long long>(epochs), trace_threshold);

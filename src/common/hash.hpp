@@ -96,6 +96,8 @@ class LevelHash {
   }
 
   int max_level() const noexcept { return max_level_; }
+  /// The mixed seed of the underlying uniform hash (SeededHash::seed).
+  std::uint64_t seed() const noexcept { return hash_.seed(); }
 
  private:
   int level_from(std::uint64_t h) const noexcept {
@@ -129,6 +131,10 @@ class BucketHashFamily {
 
   int count() const noexcept { return static_cast<int>(hashes_.size()); }
   std::uint32_t range() const noexcept { return range_; }
+  /// The mixed seed of g_j (SeededHash::seed).
+  std::uint64_t seed(int j) const noexcept {
+    return hashes_[static_cast<std::size_t>(j)].seed();
+  }
 
  private:
   std::vector<SeededHash> hashes_;

@@ -70,13 +70,18 @@ class BinaryWriter {
 
   /// Append `n` bytes that `write(char* out)` produces in place — `out`
   /// starts zeroed, so `write` may skip zero runs — then fold them into the
-  /// running CRC while they are still in cache. Memory writers only: a
-  /// section computed element by element (EpochSketch widening a level)
-  /// lands in the output with no staging copy.
+  /// running CRC while they are still in cache. A memory writer hands out
+  /// its own buffer, so a section packed element by element (a sketch blob
+  /// level) lands in the output with no staging copy; a stream writer
+  /// stages it once.
   template <typename Write>
   void fill(std::size_t n, Write&& write) {
-    if (bytes_ == nullptr)
-      throw SerializeError("BinaryWriter: fill needs a memory sink");
+    if (bytes_ == nullptr) {
+      std::string staged(n, '\0');
+      write(staged.data());
+      raw(staged.data(), n);
+      return;
+    }
     const std::size_t at = bytes_->size();
     bytes_->resize(at + n);
     char* out = bytes_->data() + at;
@@ -145,13 +150,8 @@ class BinaryReader {
   std::string_view str_view() {
     if (in_ != nullptr)
       throw SerializeError("BinaryReader: str_view needs a memory source");
-    const std::uint64_t n = u64();
-    check_length(n);
-    if (n > bytes_.size()) throw SerializeError("BinaryReader: truncated input");
-    const std::string_view s = bytes_.substr(0, n);
-    bytes_.remove_prefix(n);
-    if (crc_on_) crc_ = crc32(s.data(), s.size(), crc_);
-    return s;
+    std::string unused;
+    return bytes(u64(), unused);
   }
 
   template <typename T>
@@ -162,6 +162,22 @@ class BinaryReader {
     std::vector<T> v(n);
     raw(v.data(), n * sizeof(T));
     return v;
+  }
+
+  /// The next `n` raw bytes: a view into the source for a memory reader,
+  /// else read into `scratch`, which must outlive the view.
+  std::string_view bytes(std::size_t n, std::string& scratch) {
+    check_length(n);
+    if (in_ != nullptr) {
+      scratch.resize(n);
+      raw(scratch.data(), n);
+      return scratch;
+    }
+    if (n > bytes_.size()) throw SerializeError("BinaryReader: truncated input");
+    const std::string_view s = bytes_.substr(0, n);
+    bytes_.remove_prefix(n);
+    if (crc_on_) crc_ = crc32(s.data(), s.size(), crc_);
+    return s;
   }
 
   /// Bytes a memory reader has not consumed yet (0 for a stream reader).

@@ -182,6 +182,8 @@ std::optional<QuerySnapshot> SnapshotStore::load(
     // The file name is untrusted input too: the payload must agree.
     if (snapshot.generation != generation) return std::nullopt;
     return snapshot;
+  } catch (const StaleFormatError&) {
+    throw;  // an older build's publish dir: refuse it, do not skip it
   } catch (const SerializeError&) {
     return std::nullopt;
   }

@@ -13,7 +13,8 @@
 //   1. A global in-flight budget on delta bytes admitted but not yet
 //      merged+acked. This is the collector's RSS proxy for the shipping
 //      path: admitted bytes are the only per-delta allocations that scale
-//      with load (decoded blob + deserialized sketch), so bounding them
+//      with load (the frame holding the blob while it is validated and
+//      merged), so bounding them
 //      bounds shipping-path memory regardless of how many sites connect.
 //   2. A per-site token bucket on delta admissions (rate deltas/sec,
 //      burst capacity), so one site replaying a deep spool at line rate

@@ -56,7 +56,6 @@ std::string CheckpointStore::encode(const CheckpointState& state) {
   // as length-prefixed blobs so the outer footer's running CRC covers the
   // whole container without being reset by their serializers.
   std::string sketch_blob;
-  sketch_blob.reserve(state.sketch.serialized_size());
   {
     BinaryWriter sketch_writer(sketch_blob);
     state.sketch.serialize(sketch_writer);
@@ -184,6 +183,8 @@ std::optional<CheckpointState> CheckpointStore::load_latest(
         CheckpointState state = decode(*bytes);
         // The file name is untrusted input too: the state must agree.
         if (state.generation == *it) return state;
+      } catch (const StaleFormatError&) {
+        throw;  // an older build's state: refuse it, do not skip past it
       } catch (const SerializeError&) {
         // fall through to the previous generation
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -12,11 +13,6 @@
 namespace dcs::service {
 
 namespace {
-
-DistinctCountSketch decode_sketch_blob(std::string_view blob) {
-  BinaryReader reader(blob);
-  return DistinctCountSketch::deserialize(reader);
-}
 
 std::string ack_frame(const Ack& ack) {
   return encode_frame(MsgType::kAck, ack.encode());
@@ -228,8 +224,8 @@ std::string Collector::on_frame(PeerState& peer, MsgType type,
 
 std::string Collector::handle_delta(PeerState& peer,
                                     std::string_view payload) {
-  // The blob stays a view into the frame payload: deserialize, tap and
-  // journal all read it in place.
+  // The blob stays a view into the frame payload: validation, tap, journal
+  // and merge all read it in place.
   const SnapshotDeltaView delta = SnapshotDeltaView::decode(payload);
   if (!peer.hello_ok) throw WireError("collector: delta before Hello");
   // A leaf uplink relays deltas for every site its shard owns: the delta
@@ -319,17 +315,18 @@ std::string Collector::handle_delta(PeerState& peer,
         obs::TraceStage::kAdmitted, trace.stamp(obs::TraceStage::kReceived),
         trace.stamp(obs::TraceStage::kAdmitted));
 
-  // Deserialize (and CRC-check) the blob before taking the state lock; a
-  // corrupt blob must never leave a half-merged global sketch.
-  DistinctCountSketch sketch = [&] {
+  // Validate the whole blob (CRC, canonical form, parameters) before taking
+  // the state lock; a corrupt blob must never leave a half-merged global
+  // sketch.
+  const SketchBlob blob = [&] {
     try {
-      return decode_sketch_blob(delta.sketch_blob);
+      return SketchBlob::parse(delta.sketch_blob);
     } catch (const SerializeError& error) {
       throw WireError(std::string("collector: bad sketch blob: ") +
                       error.what());
     }
   }();
-  if (sketch.params().fingerprint() != config_.params.fingerprint())
+  if (blob.params().fingerprint() != config_.params.fingerprint())
     throw WireError("collector: delta sketch parameters mismatch");
 
   std::lock_guard<std::mutex> lock(state_mutex_);
@@ -379,7 +376,7 @@ std::string Collector::handle_delta(PeerState& peer,
     obs::TraceMetrics::get().observe_span(
         obs::TraceStage::kJournaled, trace.stamp(obs::TraceStage::kAdmitted),
         trace.stamp(obs::TraceStage::kJournaled));
-  merge_delta_locked(delta.site_id, delta.epoch, delta.updates, sketch,
+  merge_delta_locked(delta.site_id, delta.epoch, delta.updates, blob,
                      &trace);
   if (peer.role == PeerRole::kLeaf) ++totals_.relayed_deltas;
   if (obs::recording()) trace_ring_.push(trace);
@@ -439,7 +436,7 @@ ShardMap Collector::shard_map() const {
 
 void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
                                    std::uint64_t updates,
-                                   const DistinctCountSketch& sketch,
+                                   const SketchBlob& blob,
                                    obs::EpochTrace* trace) {
   SiteStats& site = sites_[site_id];
   site.site_id = site_id;
@@ -481,7 +478,7 @@ void Collector::merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
   }
   {
     obs::ScopedTimer timer(merge_ns_);
-    merged_.merge_sketch(sketch);
+    merged_.merge_sketch(blob);
     if (trace) {
       trace->stamp(obs::TraceStage::kMerged) = obs::unix_now_ns();
       if (obs::recording())
@@ -584,19 +581,21 @@ void Collector::recover() {
         ++totals_.replay_deduped;
         continue;
       }
-      // The record CRC already verified the blob byte-for-byte; a decode
-      // failure here means the collector journaled garbage, which validation
-      // before append rules out. Treat defensively like a torn tail.
-      DistinctCountSketch sketch = [&]() -> DistinctCountSketch {
-        try {
-          return decode_sketch_blob(record.sketch_blob);
-        } catch (const SerializeError&) {
-          return DistinctCountSketch(config_.params);
-        }
-      }();
-      if (sketch.params().fingerprint() != config_.params.fingerprint())
+      // The record CRC already verified the blob byte-for-byte, and only
+      // validated blobs are journaled, so a blob that does not parse was
+      // written by an older format version (StaleFormatError, which
+      // propagates: the state dir must be drained by the build that wrote
+      // it) or is garbage, skipped like a torn tail.
+      std::optional<SketchBlob> blob;
+      try {
+        blob = SketchBlob::parse(record.sketch_blob);
+      } catch (const StaleFormatError&) {
+        throw;
+      } catch (const SerializeError&) {
+      }
+      if (!blob || blob->params().fingerprint() != config_.params.fingerprint())
         continue;
-      merge_delta_locked(record.site_id, record.epoch, record.updates, sketch,
+      merge_delta_locked(record.site_id, record.epoch, record.updates, *blob,
                          /*trace=*/nullptr);
       // Drain mode: re-offer every replayed record to the uplink. Records
       // the root already merged come back as cheap duplicate acks; records

@@ -338,13 +338,13 @@ class Collector : private FrameHandler {
   /// Build a kWrongShard ack carrying the current map. Caller holds
   /// state_mutex_.
   std::string wrong_shard_ack_locked(std::uint64_t epoch);
-  /// Merge one validated delta into the global state and run detection.
-  /// Caller holds state_mutex_. Shared by the live path and journal replay;
-  /// `trace` (nullable — replay passes nullptr) receives the merged /
+  /// Merge one validated delta blob into the global state (its live
+  /// buckets straight into merged_) and run detection. Caller holds
+  /// state_mutex_. Shared by the live path and journal replay; `trace`
+  /// (nullable — replay passes nullptr) receives the merged /
   /// detector-evaluated stamps and the freshness measurement.
   void merge_delta_locked(std::uint64_t site_id, std::uint64_t epoch,
-                          std::uint64_t updates,
-                          const DistinctCountSketch& sketch,
+                          std::uint64_t updates, const SketchBlob& blob,
                           obs::EpochTrace* trace);
   /// Load newest valid checkpoint + replay journals; called from the ctor
   /// when state_dir is configured. Ends by writing a fresh checkpoint so

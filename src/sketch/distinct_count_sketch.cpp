@@ -10,25 +10,6 @@
 
 namespace dcs {
 
-namespace {
-constexpr std::uint32_t kSketchMagic = 0x53434344;  // "DCCS"
-// v1: header + params + level bitmap + counters.
-// v2: v1 followed by a CRC-32 integrity footer over the whole blob, so
-//     truncated or bit-flipped snapshots (on disk or on the wire) are
-//     rejected instead of silently corrupting a merge.
-constexpr std::uint8_t kSketchVersion = 2;
-
-// Seed-derivation constants: keep the level hash and the bucket family
-// independent even though both derive from the same master seed.
-constexpr std::uint64_t kLevelSeedSalt = 0x1b873593a4093822ULL;
-constexpr std::uint64_t kBucketSeedSalt = 0xcc9e2d51b5297a4dULL;
-}  // namespace
-
-SketchHashes::SketchHashes(const DcsParams& params)
-    : level(mix64(params.seed ^ kLevelSeedSalt), params.max_level),
-      buckets(mix64(params.seed ^ kBucketSeedSalt), params.num_tables,
-              params.buckets_per_table) {}
-
 DistinctCountSketch::DistinctCountSketch(DcsParams params)
     : params_(params),
       hashes_(params),
@@ -95,33 +76,30 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
   // Scratch buffers are thread_local so steady-state batches allocate
   // nothing; they grow to the largest span this thread has applied.
   thread_local std::vector<PairKey> keys;
-  thread_local std::vector<std::uint64_t> mixed;  // mix64(key), hashed once
-  thread_local std::vector<std::uint16_t> levels;
+  thread_local std::vector<std::uint8_t> levels;
+  thread_local std::vector<std::uint32_t> buckets;  // table-major, stride n
   thread_local std::vector<std::uint32_t> level_counts;
   thread_local std::vector<std::uint32_t> order;
-  thread_local std::vector<std::uint32_t> buckets;
 
-  // Pass 1: pack + validate every key and resolve its level before anything
-  // is applied (a bad key therefore leaves the sketch untouched for the
-  // whole span), allocating levels lazily and tallying the span's telemetry
-  // in one go. The level histogram doubles as the counting-sort table for
-  // pass 2.
+  // Pass 1: pack + validate every key before anything is applied (a bad
+  // key therefore leaves the sketch untouched for the whole span), then
+  // hash the span with the block kernel: every level and every bucket.
   keys.resize(n);
-  mixed.resize(n);
-  levels.resize(n);
-  level_counts.assign(static_cast<std::size_t>(params_.max_level) + 2, 0);
   std::uint32_t deletes = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const FlowUpdate& u = updates[i];
-    const PairKey key = pack_pair(u.dest, u.source);
-    check_key(key);
-    keys[i] = key;
-    mixed[i] = mix64(key);
-    const int level = hashes_.level.from_mixed(mixed[i]);
-    levels[i] = static_cast<std::uint16_t>(level);
-    ++level_counts[static_cast<std::size_t>(level) + 1];
+    keys[i] = pack_pair(u.dest, u.source);
+    check_key(keys[i]);
     deletes += u.delta < 0;
   }
+  levels.resize(n);
+  buckets.resize(n * static_cast<std::size_t>(params_.num_tables));
+  detail::hash_block(hashes_, keys.data(), n, levels.data(), buckets.data(),
+                     n);
+  // The level histogram allocates levels lazily, tallies the span's
+  // telemetry in one go, and doubles as the counting-sort table of pass 2.
+  level_counts.assign(static_cast<std::size_t>(params_.max_level) + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) ++level_counts[levels[i] + 1u];
   for (std::size_t l = 0; l + 1 < level_counts.size(); ++l) {
     if (level_counts[l + 1] != 0) ensure_level(static_cast<int>(l));
     if (record && level_counts[l + 1] != 0)
@@ -140,35 +118,26 @@ void DistinctCountSketch::update_batch(std::span<const FlowUpdate> updates) {
   for (std::size_t i = 0; i < n; ++i)
     order[level_counts[levels[i]]++] = static_cast<std::uint32_t>(i);
 
-  // Pass 3: apply level-major, table-major within a level. Bucket indices
-  // for the level group are materialized once (each is two 64-bit mixes, and
-  // the prefetch lookahead would otherwise hash every key twice), then the
-  // apply runs with a rolling software prefetch kPrefetchAhead buckets ahead
-  // — far enough to cover a memory round-trip, close enough that the
-  // prefetched lines (a signature spans several cache lines) are still
-  // resident when the apply reaches them.
+  // Pass 3: apply level-major, table-major within a level, with a rolling
+  // software prefetch kPrefetchAhead buckets ahead — far enough to cover a
+  // memory round-trip, close enough that the prefetched lines (a signature
+  // spans several cache lines) are still resident when the apply reaches
+  // them.
   std::size_t begin = 0;
   while (begin < n) {
     const int level = static_cast<int>(levels[order[begin]]);
     std::size_t end = begin + 1;
     while (end < n && levels[order[end]] == levels[order[begin]]) ++end;
-    const std::size_t group = end - begin;
-    const std::size_t tables = static_cast<std::size_t>(params_.num_tables);
-    buckets.resize(group * tables);
-    for (std::size_t j = 0; j < tables; ++j)
-      for (std::size_t i = 0; i < group; ++i)
-        buckets[j * group + i] = hashes_.buckets.bucket_mixed(
-            static_cast<int>(j), mixed[order[begin + i]]);
-    for (std::size_t j = 0; j < tables; ++j) {
-      const std::uint32_t* row = buckets.data() + j * group;
-      for (std::size_t i = 0; i < group; ++i) {
-        if (i + kPrefetchAhead < group)
+    for (int j = 0; j < params_.num_tables; ++j) {
+      const std::uint32_t* row =
+          buckets.data() + static_cast<std::size_t>(j) * n;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (i + kPrefetchAhead < end)
           prefetch_write(
-              counters_at(level, static_cast<int>(j), row[i + kPrefetchAhead]),
-              bytes);
-        const std::uint32_t u = order[begin + i];
-        CountSignatureView sig(
-            counters_at(level, static_cast<int>(j), row[i]), params_.key_bits);
+              counters_at(level, j, row[order[i + kPrefetchAhead]]), bytes);
+        const std::uint32_t u = order[i];
+        CountSignatureView sig(counters_at(level, j, row[u]),
+                               params_.key_bits);
         sig.add(keys[u], updates[u].delta);
       }
     }
@@ -397,65 +366,45 @@ std::uint64_t DistinctCountSketch::allocated_mask() const noexcept {
   return allocated;
 }
 
-void DistinctCountSketch::serialize_prefix(BinaryWriter& writer,
-                                           const DcsParams& params,
-                                           std::uint64_t allocated) {
-  write_header(writer, kSketchMagic, kSketchVersion);
-  writer.i32(params.num_tables);
-  writer.u32(params.buckets_per_table);
-  writer.i32(params.key_bits);
-  writer.i32(params.max_level);
-  writer.f64(params.epsilon);
-  writer.f64(params.sample_target_fraction);
-  writer.u8(params.collision_correction ? 1 : 0);
-  writer.u64(params.seed);
-  writer.u64(allocated);
+void DistinctCountSketch::merge(const SketchBlob& blob) {
+  if (!(params_ == blob.params()))
+    throw std::invalid_argument(
+        "DistinctCountSketch::merge: parameter/seed mismatch");
+  for (const BlobLevel& level : blob.levels()) {
+    ensure_level(level.level);
+    blob::add_level(level, params_,
+                    levels_[static_cast<std::size_t>(level.level)].data());
+  }
 }
 
 void DistinctCountSketch::serialize(BinaryWriter& writer) const {
-  writer.crc_reset();  // footer covers the header too
-  serialize_prefix(writer, params_, allocated_mask());
-  for (const auto& level : levels_)
-    if (!level.empty()) writer.pod_vector(level);
+  blob::write_prefix(writer, params_, allocated_mask());
+  blob::LevelPacker packer(params_);
+  const std::size_t width = params_.signature_width();
+  const std::size_t buckets =
+      static_cast<std::size_t>(params_.num_tables) * params_.buckets_per_table;
+  for (const auto& level : levels_) {
+    if (level.empty()) continue;
+    for (std::size_t i = 0; i < buckets; ++i)
+      packer.add(i, level.data() + i * width);
+    packer.write(writer);
+  }
   write_crc_footer(writer);
 }
 
-std::size_t DistinctCountSketch::serialized_size(
-    const DcsParams& params, std::uint64_t allocated) noexcept {
-  // Header (magic u32 + version u8), the params fields, the allocation
-  // mask, each allocated level as a u64-prefixed vector, and the footer.
-  constexpr std::size_t kFixed = 5 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 4;
-  return kFixed + static_cast<std::size_t>(std::popcount(allocated)) *
-                      (8 + params.level_bytes());
-}
-
-std::size_t DistinctCountSketch::serialized_size() const noexcept {
-  return serialized_size(params_, allocated_mask());
-}
-
 DistinctCountSketch DistinctCountSketch::deserialize(BinaryReader& reader) {
-  reader.crc_reset();
-  const std::uint8_t version = read_header(reader, kSketchMagic, kSketchVersion);
   DcsParams params;
-  params.num_tables = reader.i32();
-  params.buckets_per_table = reader.u32();
-  params.key_bits = reader.i32();
-  params.max_level = reader.i32();
-  params.epsilon = reader.f64();
-  params.sample_target_fraction = reader.f64();
-  params.collision_correction = reader.u8() != 0;
-  params.seed = reader.u64();
-  params.validate();
+  const std::uint64_t allocated = blob::read_prefix(reader, params);
   DistinctCountSketch sketch(params);
-  const std::uint64_t allocated = reader.u64();
-  for (std::size_t l = 0; l < sketch.levels_.size(); ++l) {
-    if ((allocated & (1ULL << l)) == 0) continue;
-    sketch.levels_[l] = reader.pod_vector<std::int64_t>();
-    if (sketch.levels_[l].size() != params.counters_per_level())
-      throw SerializeError("DistinctCountSketch: level size mismatch");
+  std::string scratch;
+  for (std::uint64_t mask = allocated; mask != 0; mask &= mask - 1) {
+    const int l = std::countr_zero(mask);
+    const BlobLevel level = blob::read_level(reader, params, l, scratch);
+    sketch.ensure_level(l);
+    blob::add_level(level, params,
+                    sketch.levels_[static_cast<std::size_t>(l)].data());
   }
-  // v1 blobs predate the integrity footer; everything newer must verify.
-  if (version >= 2) read_crc_footer(reader);
+  read_crc_footer(reader);
   return sketch;
 }
 

@@ -31,20 +31,12 @@
 #include "obs/instruments.hpp"
 #include "sketch/count_signature.hpp"
 #include "sketch/dcs_params.hpp"
+#include "sketch/sketch_blob.hpp"
+#include "sketch/sketch_hashes.hpp"
 #include "sketch/top_k.hpp"
 #include "stream/flow_update.hpp"
 
 namespace dcs {
-
-/// The first-level (level) hash and the r second-level (bucket) hashes of
-/// every sketch built with `params`, derived from params.seed. Anything
-/// that must address the same buckets as a DistinctCountSketch
-/// (EpochSketch's staging counters) derives its hashes here.
-struct SketchHashes {
-  explicit SketchHashes(const DcsParams& params);
-  LevelHash level;
-  BucketHashFamily buckets;
-};
 
 class DistinctCountSketch final : public TopKEstimator {
  public:
@@ -162,22 +154,18 @@ class DistinctCountSketch final : public TopKEstimator {
   /// a snapshot of the same monotonically-growing stream for exact semantics.
   void subtract(const DistinctCountSketch& other);
 
-  void serialize(BinaryWriter& writer) const;
-  static DistinctCountSketch deserialize(BinaryReader& reader);
-  /// Exact byte count serialize() writes, so a caller can size the buffer
-  /// up front instead of growing it while the blob is written.
-  std::size_t serialized_size() const noexcept;
+  /// Add the counters of a validated blob (SketchBlob::parse): the same
+  /// result as merge(deserialize(blob)), without building the sketch.
+  /// Throws std::invalid_argument on a parameter/seed mismatch, before
+  /// anything is added.
+  void merge(const SketchBlob& blob);
 
-  /// The blob layout up to its first level: header, params and the mask of
-  /// allocated levels. Each allocated level follows, ascending, as a
-  /// u64-prefixed vector of counters_per_level() int64 counters, then the
-  /// CRC footer. serialize() writes the prefix through this, and so does
-  /// EpochSketch::seal(), so the two cannot drift apart.
-  static void serialize_prefix(BinaryWriter& writer, const DcsParams& params,
-                               std::uint64_t allocated);
-  /// Byte count of a blob with the levels in `allocated`.
-  static std::size_t serialized_size(const DcsParams& params,
-                                     std::uint64_t allocated) noexcept;
+  /// Write the canonical blob (sketch/sketch_blob.hpp): every allocated
+  /// level, its live buckets only, at the level's narrowest counter width.
+  void serialize(BinaryWriter& writer) const;
+  /// Read a blob; throws SerializeError (StaleFormatError for a blob of an
+  /// older format version) on anything but the canonical form.
+  static DistinctCountSketch deserialize(BinaryReader& reader);
 
   /// True iff params and all counters match (unallocated levels compare
   /// equal to all-zero levels).

@@ -250,6 +250,11 @@ void TrackingDcs::merge_sketch(const DistinctCountSketch& delta) {
   rebuild();
 }
 
+void TrackingDcs::merge_sketch(const SketchBlob& delta) {
+  sketch_.merge(delta);
+  rebuild();
+}
+
 void TrackingDcs::serialize(BinaryWriter& writer) const {
   // The tracking state is derived; persisting the linear sketch suffices.
   sketch_.serialize(writer);

@@ -79,6 +79,9 @@ class TrackingDcs final : public TopKEstimator {
   /// result is identical to having ingested the delta's update stream
   /// directly, in any order relative to other sites' deltas.
   void merge_sketch(const DistinctCountSketch& delta);
+  /// The same merge straight from a validated blob (SketchBlob::parse): its
+  /// live buckets are added into the counters, with no intermediate sketch.
+  void merge_sketch(const SketchBlob& delta);
 
   /// Reconstruct singleton maps and heaps from the raw sketch counters.
   /// Used after merge/deserialize; O(sketch size).

@@ -432,5 +432,53 @@ TEST(CheckpointCorruption, CollectorFallsBackAndResumesNumbering) {
   EXPECT_EQ(sites[0].last_epoch, 2u);
 }
 
+/// A sketch blob as the dense-format build wrote it: the same header with
+/// version 2 (the body is never read past the version byte).
+std::string stale_blob(std::uint64_t salt) {
+  std::string blob = sketch_blob(salt);
+  blob[4] = 2;
+  return blob;
+}
+
+TEST(StaleFormat, JournalOfAnOlderBuildIsRefusedAtStartup) {
+  CollectorConfig config;
+  config.params = tiny_params();
+  config.state_dir = test_dir("state");
+  {
+    const CheckpointStore store(config.state_dir);
+    CheckpointState gen1;
+    gen1.generation = 1;
+    gen1.sketch = DistinctCountSketch(tiny_params());
+    store.write(gen1);
+    auto journal = EpochJournal::open(store.journal_path(1));
+    journal.append({5, 1, 30, stale_blob(1)});
+    journal.close();
+  }
+  EXPECT_THROW(Collector collector(config), StaleFormatError);
+}
+
+TEST(StaleFormat, CheckpointOfAnOlderBuildIsRefusedNotSkipped) {
+  const std::string dir = test_dir("state");
+  const CheckpointStore store(dir);
+  CheckpointState gen1 = sample_state();
+  store.write(gen1);
+  // Re-encode generation 1 with its sketch blob marked version 2: every
+  // CRC valid, so only the version tells it apart.
+  std::string bytes = read_raw(store.checkpoint_path(1));
+  std::string blob;
+  {
+    BinaryWriter writer(blob);
+    gen1.sketch.serialize(writer);
+  }
+  const std::size_t at = bytes.find(blob);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 4] = 2;
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+  write_raw(store.checkpoint_path(1), bytes);
+  std::uint64_t skipped = 0;
+  EXPECT_THROW(store.load_latest(&skipped), StaleFormatError);
+}
+
 }  // namespace
 }  // namespace dcs::service

@@ -23,6 +23,7 @@
 #include "sketch/count_signature.hpp"
 #include "sketch/distinct_count_sketch.hpp"
 #include "sketch/epoch_sketch.hpp"
+#include "sketch/sketch_hashes.hpp"
 #include "stream/generator.hpp"
 
 namespace dcs {
@@ -106,10 +107,14 @@ TEST_P(EpochSketchGrid, EveryEpochBlobIsByteIdentical) {
     const std::string blob = ingest_and_seal(epoch, updates);
     ASSERT_EQ(blob, expected) << "epoch " << e;
     EXPECT_EQ(epoch.touched_levels(), 0u);
-    // And it reads back as the same sketch.
+    // And it reads back as a sketch that writes the same blob.
     BinaryReader reader(blob);
-    DistinctCountSketch decoded = DistinctCountSketch::deserialize(reader);
-    EXPECT_EQ(decoded.serialized_size(), blob.size());
+    const DistinctCountSketch decoded =
+        DistinctCountSketch::deserialize(reader);
+    std::string again;
+    BinaryWriter writer(again);
+    decoded.serialize(writer);
+    EXPECT_EQ(again, blob);
   }
 }
 
@@ -136,8 +141,10 @@ TEST(EpochSketch, LevelThatNetsToZeroStaysInTheBlob) {
   EXPECT_NE(epoch.touched_levels(), 0u);
   const std::string blob = epoch.seal();
   EXPECT_EQ(blob, reference_blob(params, updates));
-  EXPECT_EQ(blob.size(),
-            DistinctCountSketch::serialized_size(params, 1));  // one level
+  // One level, with no live bucket.
+  const SketchBlob parsed = SketchBlob::parse(blob);
+  ASSERT_EQ(parsed.levels().size(), 1u);
+  EXPECT_EQ(parsed.levels()[0].payload.size(), 0u);
 }
 
 TEST(EpochSketch, EmptyEpochMatchesAFreshSketch) {
@@ -344,6 +351,39 @@ TEST(EpochSketch, KeyWiderThanKeyBitsThrowsAndChangesNothing) {
   EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
 }
 
+TEST(EpochSketch, BufferedUpdatesCountInEveryAccessor) {
+  DcsParams params;
+  params.key_bits = 20;
+  params.buckets_per_table = 32;
+  params.seed = 32;
+  EpochSketch epoch(params);
+  // Fewer updates than a block: all still buffered, yet the accessors see
+  // them.
+  std::vector<KeyUpdate> updates;
+  for (PairKey k = 1; k <= 5; ++k) updates.push_back({k * 4099, +1});
+  for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+  EXPECT_NE(epoch.touched_levels(), 0u);
+  EXPECT_GE(epoch.staged_levels(), 1);
+  EXPECT_FALSE(epoch.spilled());
+  // A delta too wide to stage, still buffered, shows in spilled().
+  updates.push_back({77, 40'000});
+  epoch.update_key(77, 40'000);
+  EXPECT_TRUE(epoch.spilled());
+  // A too-wide key mid-block throws at update_key and buffers nothing: the
+  // epoch continues across the block boundary without it.
+  for (PairKey k = 100; k < 130; ++k) {
+    updates.push_back({k, +1});
+    epoch.update_key(k, +1);
+  }
+  EXPECT_THROW(epoch.update_key(1ULL << 20, +1), std::invalid_argument);
+  for (PairKey k = 130; k < 200; ++k) {
+    updates.push_back({k, -1});
+    epoch.update_key(k, -1);
+  }
+  EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
+  EXPECT_EQ(epoch.touched_levels(), 0u);
+}
+
 TEST(EpochSketch, InvalidParamsAreRejected) {
   DcsParams params;
   params.key_bits = 0;
@@ -412,6 +452,122 @@ TEST(EpochSketchKernel, EveryVariantReachesInt16Bounds) {
     for (int b = 0; b < 64; ++b)
       EXPECT_EQ(block.counts[b], (b % 2 == 1) ? INT16_MAX : INT16_MIN)
           << "bit " << b;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The block hash: every variant this CPU runs against per-key SketchHashes.
+// ---------------------------------------------------------------------------
+TEST(SketchHashBlock, DispatchedIsTheFirstVariant) {
+  const auto variants = detail::hash_block_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.front().fn, detail::hash_block);
+  EXPECT_STREQ(variants.back().name, "portable");
+}
+
+/// Check `variant` on the first `n` of `keys` against the scalar hashes,
+/// and that nothing past `n` is written.
+void expect_block_matches(const detail::HashBlockVariant& variant,
+                          const SketchHashes& hashes,
+                          const std::vector<std::uint64_t>& keys,
+                          std::size_t n) {
+  constexpr std::size_t kStride = 64;
+  const int tables = hashes.buckets.count();
+  std::vector<std::uint8_t> levels(kStride, 0xee);
+  std::vector<std::uint32_t> buckets(kStride * static_cast<std::size_t>(tables),
+                                     0xeeeeeeee);
+  variant.fn(hashes, keys.data(), n, levels.data(), buckets.data(), kStride);
+  for (std::size_t i = 0; i < kStride; ++i) {
+    if (i >= n) {
+      ASSERT_EQ(levels[i], 0xee) << "past the block, lane " << i;
+      continue;
+    }
+    ASSERT_EQ(levels[i], hashes.level(keys[i])) << "key " << keys[i];
+    for (int j = 0; j < tables; ++j)
+      ASSERT_EQ(buckets[static_cast<std::size_t>(j) * kStride + i],
+                hashes.buckets.bucket(j, keys[i]))
+          << "key " << keys[i] << " table " << j;
+  }
+  for (int j = 0; j < tables; ++j)
+    for (std::size_t i = n; i < kStride; ++i)
+      ASSERT_EQ(buckets[static_cast<std::size_t>(j) * kStride + i], 0xeeeeeeee);
+}
+
+TEST(SketchHashBlock, EveryVariantMatchesSketchHashesOnEveryShapeAndTail) {
+  for (const int r : {1, 3, 5})
+    for (const std::uint32_t s : {16u, 100u, 128u})
+      for (const int max_level : {5, 63})
+        for (const int key_bits : {20, 64}) {
+          DcsParams params;
+          params.num_tables = r;
+          params.buckets_per_table = s;
+          params.max_level = max_level;
+          params.key_bits = key_bits;
+          params.seed = static_cast<std::uint64_t>(r * 1000 + s + max_level);
+          const SketchHashes hashes(params);
+          Xoshiro256 rng(params.seed);
+          std::vector<std::uint64_t> keys(64);
+          for (std::uint64_t& key : keys) key = rng() & key_mask(key_bits);
+          for (const detail::HashBlockVariant& variant :
+               detail::hash_block_variants()) {
+            SCOPED_TRACE(::testing::Message()
+                         << variant.name << " r=" << r << " s=" << s
+                         << " max_level=" << max_level
+                         << " key_bits=" << key_bits);
+            for (std::size_t n = 1; n <= 64; ++n)
+              expect_block_matches(variant, hashes, keys, n);
+          }
+        }
+}
+
+/// x ^ (x >> shift) inverted.
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+  std::uint64_t x = y;
+  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+/// The multiplicative inverse of an odd constant mod 2^64 (Newton).
+std::uint64_t inverse(std::uint64_t c) {
+  std::uint64_t x = c;
+  for (int i = 0; i < 6; ++i) x *= 2 - c * x;
+  return x;
+}
+
+/// mix64 inverted step by step.
+std::uint64_t unmix64(std::uint64_t z) {
+  std::uint64_t x = unxorshift(z, 31);
+  x *= inverse(0x94d049bb133111ebULL);
+  x = unxorshift(x, 27);
+  x *= inverse(0xbf58476d1ce4e5b9ULL);
+  x = unxorshift(x, 30);
+  return x - 0x9e3779b97f4a7c15ULL;
+}
+
+TEST(SketchHashBlock, AKeyWhoseLevelHashIsZeroLandsOnTheDeepestLevel) {
+  // fmix64(0) == 0 and both mixers are bijections, so the key whose mix64
+  // equals the level seed has a level hash of exactly 0: LevelHash folds
+  // it into max_level, and every kernel must too.
+  for (const int max_level : {5, 63}) {
+    DcsParams params;
+    params.max_level = max_level;
+    params.seed = 8;
+    const SketchHashes hashes(params);
+    const std::uint64_t key = unmix64(hashes.level.seed());
+    ASSERT_EQ(mix64(key), hashes.level.seed());
+    ASSERT_EQ(fmix64(hashes.level.seed() ^ mix64(key)), 0u);
+    EXPECT_EQ(hashes.level(key), max_level);
+    Xoshiro256 rng(9);
+    std::vector<std::uint64_t> keys(64);
+    for (std::uint64_t& k : keys) k = rng();
+    keys[3] = key;
+    keys[9] = key;
+    for (const detail::HashBlockVariant& variant :
+         detail::hash_block_variants()) {
+      SCOPED_TRACE(variant.name);
+      expect_block_matches(variant, hashes, keys, 64);
+      expect_block_matches(variant, hashes, keys, 10);
+    }
   }
 }
 

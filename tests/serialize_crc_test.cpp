@@ -175,7 +175,6 @@ TEST(SerializeCrc, MemoryWriterAndReaderMatchTheStreamForms) {
   BinaryWriter writer(blob);
   original.serialize(writer);
   EXPECT_EQ(blob, serialized(original));
-  EXPECT_EQ(blob.size(), original.serialized_size());
 
   BinaryReader reader{std::string_view(blob)};
   EXPECT_TRUE(DistinctCountSketch::deserialize(reader) == original);

@@ -229,9 +229,13 @@ std::string large_blob(const DistinctCountSketch& sketch) {
   return blob;
 }
 
+/// Updates in large_sketch(): enough live buckets over enough levels that
+/// its compact blob passes 1 MiB.
+constexpr std::uint64_t kLargeUpdates = 200'000;
+
 DistinctCountSketch large_sketch() {
   DistinctCountSketch sketch(large_params());
-  for (const auto& update : zipf_updates(300, 21))
+  for (const auto& update : zipf_updates(kLargeUpdates, 21))
     sketch.update(update.dest, update.source, update.delta);
   return sketch;
 }
@@ -337,7 +341,7 @@ TEST(ServiceLoopback, LargeCorruptBlobIsRejectedAndIntactOneMerges) {
   SnapshotDelta delta;
   delta.site_id = 4;
   delta.epoch = 1;
-  delta.updates = 300;
+  delta.updates = kLargeUpdates;
   delta.sketch_blob = large_blob(sketch);
   const std::string good = delta.encode_frame();
   delta.sketch_blob[delta.sketch_blob.size() / 2] ^= 0x10;
