@@ -1,6 +1,7 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <iterator>
 #include <utility>
 
@@ -28,9 +29,17 @@ std::size_t QueryEngine::refresh() {
   // Decode + rebuild outside the lock: this is the expensive part
   // (O(sketch size) per generation) and must not stall readers.
   std::vector<std::shared_ptr<const LoadedSnapshot>> fresh;
+  std::exception_ptr stale;
   for (const std::uint64_t generation : to_load) {
     obs::ScopedTimer timer(obs::QueryMetrics::get().load_ns);
-    auto snapshot = store_.load(generation);
+    std::optional<QuerySnapshot> snapshot;
+    try {
+      snapshot = store_.load(generation);
+    } catch (const StaleFormatError&) {
+      // An older build's generation: skipped like a corrupt one, so the
+      // rest still map and unmap; reported once this refresh is done.
+      if (!stale) stale = std::current_exception();
+    }
     if (!snapshot) {
       // Torn (publisher mid-rename is impossible — rename is atomic — so
       // this is a corrupt or vanished file): count and fall back to
@@ -71,6 +80,7 @@ std::size_t QueryEngine::refresh() {
       }
     }
   }
+  if (stale) std::rethrow_exception(stale);
   return mapped;
 }
 

@@ -60,7 +60,10 @@ class QueryEngine {
   /// Scan the publish directory: map new generations, unmap pruned ones,
   /// update the loaded/staleness gauges. Returns the number of
   /// generations newly mapped. Corrupt or torn files are counted and
-  /// skipped (the newest valid one wins), never fatal.
+  /// skipped (the newest valid one wins), never fatal. A generation an
+  /// older build wrote is counted and skipped the same way, and once every
+  /// other generation is mapped and every pruned one unmapped, the first
+  /// such is rethrown as StaleFormatError.
   std::size_t refresh();
 
   /// Newest mapped generation (nullptr when none loaded yet).

@@ -54,7 +54,8 @@ class QueryServer {
 
   /// Load whatever the publish directory already holds, register routes,
   /// bind, and start the watcher. Throws std::runtime_error when the bind
-  /// fails.
+  /// fails, and StaleFormatError when the directory holds a generation an
+  /// older build published (docs/RUNBOOK.md).
   void start();
   void stop();
 

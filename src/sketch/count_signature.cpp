@@ -26,6 +26,8 @@
 
 #include "sketch/count_signature.hpp"
 
+#include "sketch/dense_add16_avx512.hpp"
+
 namespace dcs::detail {
 
 namespace {
@@ -69,19 +71,7 @@ __attribute__((target("avx2"))) void dense_add_avx2(std::int64_t* counters,
   }
 }
 
-// The int16 epoch-counter kernels. AVX-512BW: a 64-counter block is exactly
-// two 512-bit vectors, so the 64-bit key is consumed 32 bits per masked add.
-__attribute__((target("avx512bw"))) void dense_add16_avx512(
-    std::int16_t* bits, std::uint64_t key, std::int16_t delta) {
-  const __m512i dv = _mm512_set1_epi16(delta);
-  for (int k = 0; k < 2; ++k) {
-    const __mmask32 mask = static_cast<__mmask32>(key >> (32 * k));
-    std::int16_t* p = bits + 32 * k;
-    const __m512i v = _mm512_loadu_si512(p);
-    _mm512_storeu_si512(p, _mm512_mask_add_epi16(v, mask, v, dv));
-  }
-}
-
+// The int16 epoch-counter kernels: AVX-512BW in dense_add16_avx512.hpp.
 // AVX2: each 16-bit chunk of the key is broadcast and expanded to a 16x16
 // lane mask by comparing against per-lane bit constants; 4 iterations over
 // the block.

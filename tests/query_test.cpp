@@ -11,13 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "obs/http_export.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -514,6 +517,90 @@ TEST(QueryServerHttp, EmptyDirectoryAnswers404UntilFirstPublish) {
   server.refresh();
   EXPECT_NE(get_path(server.port(), "/topk").find("HTTP/1.1 200"),
             std::string::npos);
+  server.stop();
+}
+
+/// Recompute the CRC-32 footer that ends `bytes`.
+void recompute_crc(std::string& bytes) {
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+}
+
+/// Publish generation `generation` as a build before the compact sketch
+/// blob wrote it: a valid snapshot whose embedded sketch blob is marked
+/// version 2, the checkpoint's and the file's CRCs recomputed so only the
+/// version tells it apart. Written under another name and renamed into
+/// place, as the publisher does, so a watching server never reads it
+/// half-written.
+void publish_stale_generation(const SnapshotStore& store,
+                              std::uint64_t generation) {
+  const QuerySnapshot snapshot = sample_snapshot(generation);
+  std::string bytes = SnapshotStore::encode(snapshot);
+  std::string checkpoint =
+      service::CheckpointStore::encode(snapshot.checkpoint);
+  std::string blob;
+  {
+    BinaryWriter writer(blob);
+    snapshot.checkpoint.sketch.serialize(writer);
+  }
+  const std::size_t checkpoint_at = bytes.find(checkpoint);
+  const std::size_t blob_at = checkpoint.find(blob);
+  ASSERT_NE(checkpoint_at, std::string::npos);
+  ASSERT_NE(blob_at, std::string::npos);
+  checkpoint[blob_at + 4] = 2;
+  recompute_crc(checkpoint);
+  bytes.replace(checkpoint_at, checkpoint.size(), checkpoint);
+  recompute_crc(bytes);
+  const std::string staged = store.dir() + "/stale.partial";
+  {
+    std::ofstream out(staged, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  fs::rename(staged, store.path(generation));
+}
+
+TEST(QueryServerHttp, StartRefusesAGenerationOfAnOlderBuild) {
+  const std::string dir = scratch_dir("server_stale_start");
+  SnapshotStore store(dir);
+  store.write(sample_snapshot(1));
+  publish_stale_generation(store, 2);
+  QueryServerConfig config;
+  config.publish_dir = dir;
+  QueryServer server(std::move(config));
+  EXPECT_THROW(server.start(), StaleFormatError);
+}
+
+TEST(QueryServerHttp, WatcherServesGenerationsPublishedAfterAStaleOne) {
+  const std::string dir = scratch_dir("server_stale_watch");
+  SnapshotStore store(dir);
+  store.write(sample_snapshot(1));
+  QueryServerConfig config;
+  config.publish_dir = dir;
+  config.watch_every_ms = 10;
+  QueryServer server(std::move(config));
+  server.start();
+  ASSERT_EQ(server.engine().newest()->snapshot.generation, 1u);
+
+  // An older publisher beside this one writes generation 2; this build's
+  // publisher then writes 3, and generation 1 is pruned.
+  publish_stale_generation(store, 2);
+  store.write(sample_snapshot(3));
+  fs::remove(store.path(1));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.engine().loaded_generations() !=
+             std::vector<std::uint64_t>{3} &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(server.engine().loaded_generations(),
+            std::vector<std::uint64_t>{3});
+  EXPECT_NE(get_path(server.port(), "/topk").find("HTTP/1.1 200"),
+            std::string::npos);
+  EXPECT_NE(get_path(server.port(), "/topk?generation=3").find("HTTP/1.1 200"),
+            std::string::npos);
+  EXPECT_NE(get_path(server.port(), "/topk?generation=2").find("HTTP/1.1 404"),
+            std::string::npos);
+  EXPECT_THROW(server.refresh(), StaleFormatError);
   server.stop();
 }
 
