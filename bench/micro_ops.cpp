@@ -14,6 +14,7 @@
 #include "distributed/concurrent_monitor.hpp"
 #include "common/serialize.hpp"
 #include "net/exporter.hpp"
+#include "service/agent.hpp"
 #include "service/wire.hpp"
 #include "sketch/count_signature.hpp"
 #include "sketch/sliding_window.hpp"
@@ -428,22 +429,35 @@ std::vector<std::vector<FlowUpdate>> paper_epochs(int sites) {
   return streams;
 }
 
+/// A stream as the parallel key and delta arrays EpochSketch takes.
+void split(const std::vector<FlowUpdate>& stream, std::vector<PairKey>& keys,
+           std::vector<int>& deltas) {
+  for (const FlowUpdate& u : stream) {
+    keys.push_back(pack_pair(u.dest, u.source));
+    deltas.push_back(u.delta);
+  }
+}
+
 void BM_EpochIngest(benchmark::State& state) {
-  // The agent's router-thread ingest for paper-sized epochs (default
+  // The agent's sketch-thread ingest for paper-sized epochs (default
   // parameters), seal excluded (BM_EpochSeal times it). Arg 0: the former
   // path, an int64 DistinctCountSketch, replaced by a fresh one per epoch.
-  // Arg n >= 1: n EpochSketches (buffered, block-hashed int16 counters),
-  // one site each, fed 256 updates at a time in turn as bench/e2e's
-  // generator feeds its agents, so n sites' staging compete for the cache.
-  // Reports updates/s over all sites.
+  // Arg n >= 1: n EpochSketches (block-hashed int16 counters), one site
+  // each, fed the agent's 4096-update handoff blocks in turn, so n sites'
+  // staging compete for one core's cache. Reports updates/s over all sites.
   const int sites = static_cast<int>(state.range(0));
   const auto streams = paper_epochs(std::max(sites, 1));
   const std::size_t epoch_updates = streams.front().size();
   const DcsParams params;
   DistinctCountSketch sketch(params);
   std::vector<EpochSketch> epochs;
-  for (int site = 0; site < sites; ++site) epochs.emplace_back(params);
-  constexpr std::size_t kOffer = 256;
+  std::vector<std::vector<PairKey>> keys(static_cast<std::size_t>(sites));
+  std::vector<std::vector<int>> deltas(keys.size());
+  for (std::size_t site = 0; site < keys.size(); ++site) {
+    epochs.emplace_back(params);
+    split(streams[site], keys[site], deltas[site]);
+  }
+  constexpr std::size_t kHandoff = 4096;
   for (auto _ : state) {
     if (sites == 0) {
       for (const auto& u : streams.front())
@@ -454,14 +468,11 @@ void BM_EpochIngest(benchmark::State& state) {
       state.ResumeTiming();
       continue;
     }
-    for (std::size_t at = 0; at < epoch_updates; at += kOffer) {
-      const std::size_t end = std::min(at + kOffer, epoch_updates);
-      for (int site = 0; site < sites; ++site) {
-        const auto& stream = streams[static_cast<std::size_t>(site)];
-        EpochSketch& epoch = epochs[static_cast<std::size_t>(site)];
-        for (std::size_t i = at; i < end; ++i)
-          epoch.update(stream[i].dest, stream[i].source, stream[i].delta);
-      }
+    for (std::size_t at = 0; at < epoch_updates; at += kHandoff) {
+      const std::size_t n = std::min(kHandoff, epoch_updates - at);
+      for (std::size_t site = 0; site < epochs.size(); ++site)
+        epochs[site].update_batch({keys[site].data() + at, n},
+                                  {deltas[site].data() + at, n});
     }
     benchmark::ClobberMemory();
     state.PauseTiming();
@@ -474,6 +485,31 @@ void BM_EpochIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochIngest)->Arg(0)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+void BM_SiteAgentIngest(benchmark::State& state) {
+  // What SiteAgent::ingest costs its caller for one paper-sized epoch
+  // (default parameters, no sender started): check the key, append it to
+  // a handoff block, hand full blocks and the epoch close to the agent's
+  // sketch thread. The caller waits whenever that thread is four blocks
+  // behind, so this is the slower of the two threads per update. The
+  // ingest_stalls counter is those waits per epoch.
+  const auto streams = paper_epochs(1);
+  const auto& stream = streams.front();
+  service::SiteAgentConfig config;
+  config.epoch_updates = stream.size();
+  config.spool_epochs = 1;  // nothing ships; keep one blob
+  service::SiteAgent agent(config);
+  for (auto _ : state)
+    for (const FlowUpdate& u : stream) agent.ingest(u);
+  agent.stop();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.size()));
+  state.counters["ingest_stalls"] =
+      static_cast<double>(agent.stats().ingest_stalls) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+}
+BENCHMARK(BM_SiteAgentIngest)->Unit(benchmark::kMillisecond);
+
 void BM_EpochSeal(benchmark::State& state) {
   // The agent's seal of one paper-sized epoch (see BM_EpochIngest; ingest
   // untimed): levels 0 and 1 folded into the int64 spill, every touched
@@ -482,6 +518,9 @@ void BM_EpochSeal(benchmark::State& state) {
   // write the same blob; its size is the blob_bytes counter.
   const bool epoch_form = state.range(0) == 1;
   const auto streams = paper_epochs(1);
+  std::vector<PairKey> keys;
+  std::vector<int> deltas;
+  split(streams.front(), keys, deltas);
   const DcsParams params;
   EpochSketch epoch(params);
   std::size_t blob_bytes = 0;
@@ -489,9 +528,7 @@ void BM_EpochSeal(benchmark::State& state) {
     state.PauseTiming();
     DistinctCountSketch sketch(params);
     if (epoch_form) {
-      for (const auto& u : streams.front())
-        epoch.update(u.dest, u.source, u.delta);
-      (void)epoch.touched_levels();  // apply the last buffered block
+      epoch.update_batch(keys, deltas);
     } else {
       sketch.update_batch(streams.front());
     }

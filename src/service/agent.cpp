@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -14,8 +15,8 @@ namespace dcs::service {
 
 SiteAgent::SiteAgent(SiteAgentConfig config)
     : config_(std::move(config)),
-      current_(config_.params),
       current_epoch_(config_.first_epoch),
+      current_(config_.params),
       jitter_(config_.jitter_seed),
       trace_ring_(config_.trace_capacity) {
   // Eager registration so an agent-side scrape lists every stage family
@@ -43,6 +44,7 @@ SiteAgent::~SiteAgent() {
   running_.store(false, std::memory_order_release);
   cv_.notify_all();
   if (sender_.joinable()) sender_.join();
+  stop_sketch(/*drain=*/false);
 }
 
 void SiteAgent::start() {
@@ -53,47 +55,129 @@ void SiteAgent::start() {
 }
 
 void SiteAgent::stop(int drain_timeout_ms) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  flush(drain_timeout_ms);
-  stopping_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  // Give the sender a moment to send Bye, then cut it off.
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms),
-                 [&] { return !running_.load(std::memory_order_acquire); });
+  if (running_.load(std::memory_order_acquire)) {
+    flush(drain_timeout_ms);
+    stopping_.store(true, std::memory_order_release);
+    cv_.notify_all();
+    // Give the sender a moment to send Bye, then cut it off.
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms),
+                   [&] { return !running_.load(std::memory_order_acquire); });
+    }
+    running_.store(false, std::memory_order_release);
+    cv_.notify_all();
+    if (sender_.joinable()) sender_.join();
   }
-  running_.store(false, std::memory_order_release);
+  stop_sketch(/*drain=*/true);
+}
+
+void SiteAgent::reject_key() {
+  throw std::invalid_argument("SiteAgent: key does not fit in key_bits");
+}
+
+void SiteAgent::first_block() {
+  ring_ = std::make_unique<HandoffBlock[]>(kHandoffRing);
+  fill_ = &ring_[0];
+}
+
+void SiteAgent::hand_off(std::uint64_t seals) {
+  fill_->seals = seals;
+  {
+    std::unique_lock<std::mutex> lock(handoff_mutex_);
+    if (handed_ - applied_ == kHandoffDepth) {
+      ingest_stalls_.fetch_add(1, std::memory_order_relaxed);
+      space_cv_.wait(lock, [&] {
+        return handed_ - applied_ < kHandoffDepth || sketch_error_;
+      });
+    }
+    // The sketch thread failed (out of memory): the epoch state is lost.
+    if (sketch_error_) std::rethrow_exception(sketch_error_);
+    if (!sketch_.joinable()) {
+      sketch_drain_ = false;
+      sketch_ = std::thread([this] { sketch_loop(); });
+    }
+    ++handed_;
+  }
+  work_cv_.notify_one();
+  // At most kHandoffDepth slots are in flight, so this one is free.
+  fill_ = &ring_[handed_ % kHandoffRing];
+  fill_->size = 0;
+}
+
+void SiteAgent::sketch_loop() {
+  try {
+    std::unique_lock<std::mutex> lock(handoff_mutex_);
+    for (;;) {
+      work_cv_.wait(lock, [&] {
+        return applied_ < handed_ || sketch_drain_ || sketch_discard_;
+      });
+      if (sketch_discard_ || applied_ == handed_) return;
+      const HandoffBlock& block = ring_[applied_ % kHandoffRing];
+      lock.unlock();
+      current_.update_batch({block.keys.data(), block.size},
+                            {block.deltas.data(), block.size});
+      if (block.seals != 0) seal_sketch(block.seals);
+      lock.lock();
+      ++applied_;
+      space_cv_.notify_one();
+    }
+  } catch (...) {
+    // Only an allocation can fail here (every key was checked at ingest);
+    // the caller's next handoff rethrows it.
+    std::lock_guard<std::mutex> lock(handoff_mutex_);
+    sketch_error_ = std::current_exception();
+    space_cv_.notify_one();
+  }
+}
+
+void SiteAgent::seal_sketch(std::uint64_t epoch) {
+  const std::uint64_t seal_start_ns = obs::steady_now_ns();
+  auto blob = std::make_shared<const std::string>(current_.seal());
+  // Origin stamps: the wall clock rides the wire so the collector can
+  // subtract across processes; the steady stamp is for agent-local spans.
+  const std::uint64_t seal_unix_ns = obs::unix_now_ns();
+  const std::uint64_t seal_steady_ns = obs::steady_now_ns();
+  if (obs::recording())
+    obs::TraceMetrics::get()
+        .stage(obs::TraceStage::kSealed)
+        .observe(seal_steady_ns - seal_start_ns);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The caller may have dropped the entry meanwhile (a full spool, or a
+    // resume watermark that covers it); the seal still reset the sketch.
+    const auto entry =
+        std::find_if(spool_.begin(), spool_.end(),
+                     [&](const SpooledEpoch& e) { return e.epoch == epoch; });
+    if (entry == spool_.end()) return;
+    entry->blob = std::move(blob);
+    entry->seal_unix_ns = seal_unix_ns;
+    entry->seal_steady_ns = seal_steady_ns;
+    entry->spool_unix_ns = obs::unix_now_ns();
+    if (obs::recording())
+      obs::TraceMetrics::get().observe_span(obs::TraceStage::kSpooled,
+                                            seal_unix_ns, entry->spool_unix_ns);
+  }
   cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
 }
 
-void SiteAgent::ingest(const FlowUpdate& update) {
-  ingest(update.dest, update.source, update.delta);
-}
-
-void SiteAgent::ingest(Addr dest, Addr source, int delta) {
-  current_.update(dest, source, delta);
-  if (++current_updates_ >= config_.epoch_updates) seal_epoch();
+void SiteAgent::stop_sketch(bool drain) {
+  {
+    std::lock_guard<std::mutex> lock(handoff_mutex_);
+    (drain ? sketch_drain_ : sketch_discard_) = true;
+  }
+  work_cv_.notify_one();
+  if (sketch_.joinable()) sketch_.join();
 }
 
 void SiteAgent::seal_epoch() {
   if (current_updates_ == 0) return;
-  SpooledEpoch sealed;
-  sealed.epoch = current_epoch_;
-  sealed.updates = current_updates_;
-  const std::uint64_t seal_start_ns = obs::steady_now_ns();
-  sealed.blob = std::make_shared<const std::string>(current_.seal());
-  // Origin stamps: the wall clock rides the wire so the collector can
-  // subtract across processes; the steady stamp is for agent-local spans.
-  sealed.seal_unix_ns = obs::unix_now_ns();
-  sealed.seal_steady_ns = obs::steady_now_ns();
+  const std::uint64_t epoch = current_epoch_;
+  SpooledEpoch entry;
+  entry.epoch = epoch;
+  entry.updates = current_updates_;
   current_updates_ = 0;
   ++current_epoch_;
-  if (obs::recording())
-    obs::TraceMetrics::get()
-        .stage(obs::TraceStage::kSealed)
-        .observe(sealed.seal_steady_ns - seal_start_ns);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (spool_.size() >= config_.spool_epochs) {
@@ -102,17 +186,13 @@ void SiteAgent::seal_epoch() {
       spool_.pop_front();
       ++stats_.epochs_dropped;
     }
-    sealed.spool_unix_ns = obs::unix_now_ns();
-    if (obs::recording())
-      obs::TraceMetrics::get().observe_span(obs::TraceStage::kSpooled,
-                                            sealed.seal_unix_ns,
-                                            sealed.spool_unix_ns);
-    spool_.push_back(std::move(sealed));
+    spool_.push_back(std::move(entry));
     ++stats_.epochs_sealed;
     stats_.spool_depth = spool_.size();
     stats_.current_epoch = current_epoch_;
   }
-  cv_.notify_all();
+  // After the push, so the sketch thread finds the entry to fill.
+  hand_off(epoch);
 }
 
 bool SiteAgent::flush(int timeout_ms) {
@@ -126,7 +206,9 @@ bool SiteAgent::flush(int timeout_ms) {
 
 SiteAgent::Stats SiteAgent::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats s = stats_;
+  s.ingest_stalls = ingest_stalls_.load(std::memory_order_relaxed);
+  return s;
 }
 
 void SiteAgent::export_stats(obs::SampleWriter& out) const {
@@ -158,6 +240,10 @@ void SiteAgent::export_stats(obs::SampleWriter& out) const {
               "Agent re-homes: connections moved to another leaf after a "
               "kWrongShard ack or a pushed shard map",
               s.rehomes);
+  out.counter("dcs_agent_ingest_stalls_total",
+              "Times ingest waited because the sketch thread already had "
+              "its bound of handoff blocks queued",
+              s.ingest_stalls);
   out.histogram("dcs_agent_heartbeat_rtt_ns",
                 "Heartbeat send to Ack receipt round-trip time (collectors "
                 "ack heartbeats; a free network-health probe)",
@@ -335,14 +421,21 @@ bool SiteAgent::run_connection() {
       std::optional<SpooledEpoch> head;
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (spool_.empty()) {
-          if (stopping_.load(std::memory_order_acquire)) break;
+        // Epochs seal in order, so a head still sealing has nothing
+        // shippable behind it.
+        const auto head_sealed = [&] {
+          return !spool_.empty() && spool_.front().blob != nullptr;
+        };
+        if (!head_sealed()) {
+          if (spool_.empty() && stopping_.load(std::memory_order_acquire))
+            break;
           const bool woke = cv_.wait_for(
               lock, std::chrono::milliseconds(config_.heartbeat_interval_ms),
               [&] {
-                return !spool_.empty() ||
+                return head_sealed() ||
                        !running_.load(std::memory_order_acquire) ||
-                       stopping_.load(std::memory_order_acquire);
+                       (spool_.empty() &&
+                        stopping_.load(std::memory_order_acquire));
               });
           if (!woke) {
             // Idle: snapshot the fields under the lock, send outside it.

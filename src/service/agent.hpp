@@ -1,13 +1,29 @@
 // SiteAgent: the per-router half of the sketch-shipping deployment.
 //
-// Ingests into an EpochSketch (int16 epoch counters, sketch/epoch_sketch.hpp)
-// and, every `epoch_updates` flow updates, seals it into an immutable
-// per-epoch delta — the CRC-footered blob DistinctCountSketch::serialize
-// would write for the epoch — and queues it on a bounded spool. A
-// background sender thread ships spooled deltas to the
-// collector and only pops one after the collector's Ack — so a connection
-// drop mid-flight retransmits, and the collector's epoch dedup makes the
-// retransmit harmless.
+// Three threads share the work of one agent:
+//
+//  * The caller's thread (ingest, seal_epoch, flush: one producer) checks
+//    each key against the params, so a too-wide key throws at once and is
+//    not kept, and appends (key, delta) to a handoff block of
+//    kHandoffUpdates updates. A full block, or the close of an epoch, is
+//    handed to the sketch thread. At most kHandoffDepth blocks are in
+//    flight; past that the caller waits, and Stats::ingest_stalls counts
+//    each wait. Closing an epoch also spools its entry at once, with no
+//    blob yet, so every Stats count and the Hello's first epoch mean the
+//    same as if the seal had run inline.
+//  * The sketch thread, started at the first handoff, is the only one to
+//    touch the EpochSketch (int16 epoch counters, sketch/epoch_sketch.hpp).
+//    It applies the blocks in order, and at each epoch close seals the
+//    sketch into an immutable per-epoch delta (the CRC-footered blob
+//    DistinctCountSketch::serialize would write for the epoch) and fills
+//    in that epoch's spool entry, or discards the blob if the entry was
+//    dropped meanwhile. stop() lets it finish every queued block; the
+//    destructor discards what is queued.
+//  * The sender thread, started by start(), ships spooled deltas to the
+//    collector in order, waiting while the head entry is still sealing,
+//    and only pops one after the collector's Ack, so a connection drop
+//    mid-flight retransmits, and the collector's epoch dedup makes the
+//    retransmit harmless.
 //
 // Collector outages: the agent keeps ingesting and sealing; the spool
 // absorbs up to `spool_epochs` deltas, after which the *oldest* is dropped
@@ -19,10 +35,12 @@
 // collector sees it too.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,7 +96,7 @@ struct SiteAgentConfig {
 class SiteAgent {
  public:
   struct Stats {
-    std::uint64_t epochs_sealed = 0;
+    std::uint64_t epochs_sealed = 0;    ///< Epochs closed and spooled.
     std::uint64_t epochs_shipped = 0;   ///< Acked (kOk or kDuplicate) or
                                         ///< skipped via resume watermark.
     std::uint64_t epochs_dropped = 0;   ///< Evicted from a full spool.
@@ -96,6 +114,9 @@ class SiteAgent {
     /// Times the agent switched leaves after learning a newer shard map
     /// (kWrongShard ack, or a map push that moved our shard).
     std::uint64_t rehomes = 0;
+    /// Times ingest waited because kHandoffDepth blocks were already
+    /// queued for the sketch thread.
+    std::uint64_t ingest_stalls = 0;
     /// Version of the newest shard map adopted (0 = none / unsharded).
     std::uint32_t map_version = 0;
     std::size_t spool_depth = 0;
@@ -115,17 +136,34 @@ class SiteAgent {
 
   /// Start the sender thread. Idempotent until stop().
   void start();
-  /// Graceful stop: stops sealing, attempts to drain the spool within
-  /// `drain_timeout_ms`, sends Bye if connected, joins the sender.
+  /// Graceful stop: seals the open epoch, attempts to drain the spool
+  /// within `drain_timeout_ms`, sends Bye if connected, joins the sender,
+  /// then lets the sketch thread apply and seal every block handed to it
+  /// and joins it.
   void stop(int drain_timeout_ms = 2000);
 
   // --- ingest (single producer) --------------------------------------------
-  /// Apply one flow update to the current epoch's sketch; seals the epoch
-  /// automatically every `epoch_updates` updates.
-  void ingest(const FlowUpdate& update);
-  void ingest(Addr dest, Addr source, int delta);
+  /// Add one flow update to the current epoch; closes the epoch
+  /// automatically every `epoch_updates` updates. A key that does not fit
+  /// params.key_bits throws std::invalid_argument and is not counted.
+  void ingest(const FlowUpdate& update) {
+    ingest(update.dest, update.source, update.delta);
+  }
+  void ingest(Addr dest, Addr source, int delta) {
+    const PairKey key = pack_pair(dest, source);
+    if (!config_.params.key_fits(key)) reject_key();
+    if (fill_ == nullptr) [[unlikely]] first_block();
+    fill_->keys[fill_->size] = key;
+    fill_->deltas[fill_->size] = delta;
+    ++fill_->size;
+    if (++current_updates_ >= config_.epoch_updates)
+      seal_epoch();
+    else if (fill_->size == kHandoffUpdates)
+      hand_off(0);
+  }
 
-  /// Seal the current epoch now even if under-full (no-op if empty).
+  /// Close the current epoch now even if under-full (no-op if empty): its
+  /// spool entry is counted at once and the sketch thread seals it.
   void seal_epoch();
 
   /// Seal, then block until the spool drains (all acked) or timeout.
@@ -148,9 +186,41 @@ class SiteAgent {
     std::uint64_t seal_steady_ns = 0;
     std::uint64_t spool_unix_ns = 0;
     /// Serialized sketch delta, shared and never mutated: peeking the
-    /// spool head copies a pointer, not the blob.
+    /// spool head copies a pointer, not the blob. Null while the sketch
+    /// thread is still sealing the epoch (the stamps above are unset too).
     std::shared_ptr<const std::string> blob;
   };
+
+  /// Updates per handoff block, and blocks in flight to the sketch thread
+  /// before ingest waits.
+  static constexpr std::size_t kHandoffUpdates = 4096;
+  static constexpr std::size_t kHandoffDepth = 4;
+  /// The ring holds the blocks in flight plus the one being filled.
+  static constexpr std::size_t kHandoffRing = kHandoffDepth + 1;
+  struct HandoffBlock {
+    std::array<PairKey, kHandoffUpdates> keys;
+    std::array<int, kHandoffUpdates> deltas;
+    std::size_t size = 0;
+    /// Epoch the sketch thread seals after applying the block; 0 = none.
+    std::uint64_t seals = 0;
+  };
+
+  [[noreturn]] static void reject_key();
+  /// Allocate the ring and take its first block to fill.
+  void first_block();
+  /// Hand the block being filled to the sketch thread (starting it on the
+  /// first call), with `seals` as its epoch to seal, and take the next
+  /// ring slot, waiting while kHandoffDepth blocks are in flight. Rethrows
+  /// what ended the sketch thread, if anything did.
+  void hand_off(std::uint64_t seals);
+  /// The sketch thread: apply handed-off blocks in order until stopped.
+  void sketch_loop();
+  /// On the sketch thread: seal the EpochSketch and fill `epoch`'s spool
+  /// entry, or discard the blob if the entry was dropped.
+  void seal_sketch(std::uint64_t epoch);
+  /// Join the sketch thread, after it applies every queued block (drain)
+  /// or once it finishes the block in hand (discard).
+  void stop_sketch(bool drain);
 
   void sender_loop();
   /// One connection lifetime: connect, Hello, ship/heartbeat until error or
@@ -170,9 +240,26 @@ class SiteAgent {
   SiteAgentConfig config_;
 
   // Ingest state — touched only by the ingesting thread.
-  EpochSketch current_;
   std::uint64_t current_updates_ = 0;
   std::uint64_t current_epoch_;
+  HandoffBlock* fill_ = nullptr;  ///< Ring slot being filled.
+
+  // Handoff to the sketch thread. A ring slot belongs to the caller until
+  // handed off, then to the sketch thread until counted in applied_.
+  std::unique_ptr<HandoffBlock[]> ring_;
+  std::mutex handoff_mutex_;  ///< Guards handed_, applied_ and the flags.
+  std::condition_variable work_cv_;   ///< Sketch thread: a block arrived.
+  std::condition_variable space_cv_;  ///< Caller: a block was applied.
+  std::uint64_t handed_ = 0;
+  std::uint64_t applied_ = 0;
+  bool sketch_drain_ = false;
+  bool sketch_discard_ = false;
+  /// What ended the sketch thread early; rethrown by the next handoff.
+  std::exception_ptr sketch_error_;
+  std::atomic<std::uint64_t> ingest_stalls_{0};
+  /// Touched only by the sketch thread while it runs.
+  EpochSketch current_;
+  std::thread sketch_;
 
   std::thread sender_;
   std::atomic<bool> running_{false};

@@ -1,5 +1,6 @@
 #include "sketch/epoch_sketch.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -16,10 +17,11 @@ constexpr std::uint64_t kInt16Max = std::numeric_limits<std::int16_t>::max();
 }  // namespace
 
 struct EpochSketch::BlockApply {
-  /// Apply the first `n` hashed updates of the block. Always inlined, so
-  /// each entry below compiles it with its own target; a constant `add`
-  /// is inlined too.
+  /// Apply `n` hashed updates. Always inlined, so each entry below compiles
+  /// it with its own target; a constant `add` is inlined too.
   [[gnu::always_inline]] static inline void run(EpochSketch& sketch,
+                                                const PairKey* keys,
+                                                const int* deltas,
                                                 std::size_t n,
                                                 detail::DenseAdd16Fn add) {
     const std::size_t tables = static_cast<std::size_t>(sketch.params_.num_tables);
@@ -27,14 +29,14 @@ struct EpochSketch::BlockApply {
     const std::uint32_t* buckets = sketch.block_buckets_.data();
     for (std::size_t i = 0; i < n; ++i) {
       const int level = sketch.block_levels_[i];
-      const int delta = sketch.deltas_[i];
-      const PairKey key = sketch.keys_[i];
+      const int delta = deltas[i];
+      const PairKey key = keys[i];
       Level& stage = sketch.staging(level);
       sketch.touched_ |= 1ULL << level;
       const auto magnitude =
           static_cast<std::uint64_t>(std::llabs(static_cast<long long>(delta)));
       if (magnitude > kInt16Max) {
-        sketch.spill_update(i);
+        sketch.spill_update(i, key, delta);
         continue;
       }
       if (stage.mass + magnitude > kInt16Max) sketch.fold_level(level);
@@ -48,14 +50,16 @@ struct EpochSketch::BlockApply {
     }
   }
 
-  static void portable(EpochSketch& sketch, std::size_t n) {
-    run(sketch, n, sketch.add_);
+  static void portable(EpochSketch& sketch, const PairKey* keys,
+                       const int* deltas, std::size_t n) {
+    run(sketch, keys, deltas, n, sketch.add_);
   }
 
 #ifdef DCS_DENSE_ADD16_AVX512
-  __attribute__((target("avx512bw"))) static void avx512(EpochSketch& sketch,
-                                                         std::size_t n) {
-    run(sketch, n, &detail::dense_add16_avx512);
+  __attribute__((target("avx512bw"))) static void avx512(
+      EpochSketch& sketch, const PairKey* keys, const int* deltas,
+      std::size_t n) {
+    run(sketch, keys, deltas, n, &detail::dense_add16_avx512);
   }
 #endif
 };
@@ -76,8 +80,16 @@ EpochSketch::EpochSketch(DcsParams params)
 #endif
 }
 
-void EpochSketch::reject_key() {
-  throw std::invalid_argument("EpochSketch: key does not fit in key_bits");
+void EpochSketch::update_batch(std::span<const PairKey> keys,
+                               std::span<const int> deltas) {
+  if (keys.size() != deltas.size())
+    throw std::invalid_argument("EpochSketch: keys and deltas differ in size");
+  for (const PairKey key : keys)
+    if (!params_.key_fits(key))
+      throw std::invalid_argument("EpochSketch: key does not fit in key_bits");
+  for (std::size_t at = 0; at < keys.size(); at += kBlock)
+    apply_block(keys.data() + at, deltas.data() + at,
+                std::min(kBlock, keys.size() - at));
 }
 
 EpochSketch::Level& EpochSketch::staging(int level) {
@@ -94,21 +106,19 @@ EpochSketch::Level& EpochSketch::staging(int level) {
   return stage;
 }
 
-void EpochSketch::apply_block() {
-  const std::size_t n = buffered_;
-  buffered_ = 0;
-  if (n == 0) return;
-  detail::hash_block(hashes_, keys_.data(), n, block_levels_.data(),
+void EpochSketch::apply_block(const PairKey* keys, const int* deltas,
+                              std::size_t n) {
+  detail::hash_block(hashes_, keys, n, block_levels_.data(),
                      block_buckets_.data(), kBlock);
   if (obs::recording()) {
     std::uint32_t deletes = 0;
     for (std::size_t i = 0; i < n; ++i) {
       ++pending_metrics_.level_hits[block_levels_[i]];
-      deletes += deltas_[i] < 0;
+      deletes += deltas[i] < 0;
     }
     pending_metrics_.add(static_cast<std::uint32_t>(n), deletes);
   }
-  apply_(*this, n);
+  apply_(*this, keys, deltas, n);
 }
 
 std::int64_t* EpochSketch::spill_level(int level) {
@@ -119,12 +129,12 @@ std::int64_t* EpochSketch::spill_level(int level) {
   return spill_->levels_[static_cast<std::size_t>(level)].data();
 }
 
-void EpochSketch::spill_update(std::size_t i) {
+void EpochSketch::spill_update(std::size_t i, PairKey key, int delta) {
   const int level = block_levels_[i];
   spill_level(level);
   Level& stage = levels_[static_cast<std::size_t>(level)];
   for (int j = 0; j < params_.num_tables; ++j) {
-    spill_->apply_to_table(level, j, keys_[i], deltas_[i]);
+    spill_->apply_to_table(level, j, key, delta);
     const std::size_t b =
         static_cast<std::size_t>(j) * params_.buckets_per_table +
         block_buckets_[static_cast<std::size_t>(j) * kBlock + i];
@@ -166,7 +176,6 @@ void EpochSketch::fold_level(int level) {
 }
 
 std::string EpochSketch::seal() {
-  apply_block();
   const std::size_t width = params_.signature_width();
   const std::size_t buckets =
       static_cast<std::size_t>(params_.num_tables) * params_.buckets_per_table;
@@ -208,18 +217,7 @@ std::string EpochSketch::seal() {
   return blob;
 }
 
-std::uint64_t EpochSketch::touched_levels() {
-  apply_block();
-  return touched_;
-}
-
-bool EpochSketch::spilled() {
-  apply_block();
-  return spilled_ != 0;
-}
-
-int EpochSketch::staged_levels() {
-  apply_block();
+int EpochSketch::staged_levels() const {
   int count = 0;
   for (const Level& stage : levels_)
     if (stage.bits != nullptr) ++count;

@@ -1,5 +1,5 @@
 // EpochSketch: the form of a Distinct-Count Sketch a site agent updates on
-// the router thread, one epoch at a time (src/service/agent.hpp).
+// its sketch thread, one epoch at a time (src/service/agent.hpp).
 //
 // An agent ships each epoch as the sketch blob (sketch/sketch_blob.hpp) of
 // that epoch's updates. Updating an int64 DistinctCountSketch directly
@@ -11,12 +11,14 @@
 // form updated at the edge is narrower than the int64 form, and the form
 // shipped is narrower again:
 //
-//  * Block ingest: update_key checks the key and buffers it. Every kBlock
-//    updates, and before seal() or any accessor, one CPU-dispatched kernel
-//    hashes the whole block (detail::hash_block: mix64, the level and the
-//    r buckets, 8 keys per AVX-512 vector), and the block is applied with
-//    the dispatched int16 masked add (dense_add16), inlined when that is
-//    its AVX-512BW form. Telemetry is tallied once per block.
+//  * Span ingest: update_batch checks every key of a span first (a key
+//    that does not fit throws and nothing is applied), then takes the span
+//    kBlock updates at a time: one CPU-dispatched kernel hashes the block's
+//    keys where they lie (detail::hash_block: mix64, the level and the r
+//    buckets, 8 keys per AVX-512 vector), and the block is applied with the
+//    dispatched int16 masked add (dense_add16), inlined when that is its
+//    AVX-512BW form. Telemetry is tallied once per block. The agent calls
+//    it with each handoff block its sketch thread takes.
 //  * Staging: per level, r x s blocks of 64 int16 bit counters, each block
 //    64-byte aligned (128 B, 2 cache lines), with the r x s bucket totals
 //    kept apart as int32, and a bitmap of the buckets updated this epoch.
@@ -42,6 +44,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,22 +60,23 @@ namespace dcs {
 
 class EpochSketch {
  public:
-  /// Updates buffered before one block hash and apply.
+  /// Updates hashed by one detail::hash_block call and applied together.
   static constexpr std::size_t kBlock = 64;
 
   explicit EpochSketch(DcsParams params = {});
 
+  /// Apply keys[i] with deltas[i], in order. Spans of different sizes, or
+  /// a key that does not fit params().key_bits, throw
+  /// std::invalid_argument before any update of the span is applied.
+  void update_batch(std::span<const PairKey> keys,
+                    std::span<const int> deltas);
+  /// One update: a span of one.
+  void update_key(PairKey key, int delta) {
+    update_batch({&key, 1}, {&delta, 1});
+  }
   /// Apply one flow update (group = destination, member = source).
   void update(Addr group, Addr member, int delta) {
     update_key(pack_pair(group, member), delta);
-  }
-  /// Buffer an update for a packed key. A key that does not fit
-  /// params().key_bits throws std::invalid_argument and buffers nothing.
-  void update_key(PairKey key, int delta) {
-    if (!params_.key_fits(key)) reject_key();
-    keys_[buffered_] = key;
-    deltas_[buffered_] = delta;
-    if (++buffered_ == kBlock) apply_block();
   }
 
   /// End the epoch: return the blob DistinctCountSketch::serialize writes
@@ -81,15 +85,13 @@ class EpochSketch {
   std::string seal();
 
   const DcsParams& params() const noexcept { return params_; }
-  // The accessors apply the buffered block first, so they count every
-  // update made so far.
   /// Levels updated this epoch (bit l = level l): the blob's level mask.
-  std::uint64_t touched_levels();
+  std::uint64_t touched_levels() const noexcept { return touched_; }
   /// Staging levels allocated so far, over all epochs.
-  int staged_levels();
+  int staged_levels() const;
   /// True iff this epoch has put counters into the int64 spill (a fold or
   /// a delta too wide to stage).
-  bool spilled();
+  bool spilled() const noexcept { return spilled_ != 0; }
 
  private:
   struct alignas(64) BitBlock {
@@ -108,16 +110,15 @@ class EpochSketch {
   /// The block apply loops, one per add kernel (epoch_sketch.cpp).
   struct BlockApply;
 
-  [[noreturn]] static void reject_key();
-  /// Hash and apply the buffered updates.
-  void apply_block();
+  /// Hash and apply n <= kBlock checked updates.
+  void apply_block(const PairKey* keys, const int* deltas, std::size_t n);
   Level& staging(int level);
   /// The int64 spill level `level` (allocated on first use), marked as
   /// spilled this epoch.
   std::int64_t* spill_level(int level);
-  /// Buffered update `i`, a |delta| no int16 counter may take, straight
-  /// into the spill.
-  void spill_update(std::size_t i);
+  /// Update `i` of the block being applied, a |delta| no int16 counter may
+  /// take, straight into the spill.
+  void spill_update(std::size_t i, PairKey key, int delta);
   /// Add staging level `level` into its spill level, mark it spilled and
   /// reset its mass. Its buckets stay marked as updated this epoch.
   void fold_level(int level);
@@ -130,12 +131,10 @@ class EpochSketch {
   SketchHashes hashes_;
   /// BlockApply's entry for add_: the one with it inlined when add_ is
   /// detail::dense_add16_avx512, else the one calling through add_.
-  void (*apply_)(EpochSketch&, std::size_t) = nullptr;
+  void (*apply_)(EpochSketch&, const PairKey*, const int*,
+                 std::size_t) = nullptr;
   /// The int16 add of the portable apply loop.
   detail::DenseAdd16Fn add_;
-  std::array<PairKey, kBlock> keys_;
-  std::array<int, kBlock> deltas_;
-  std::size_t buffered_ = 0;
   /// The block's hashes: a level per update, and r rows of kBlock buckets.
   std::array<std::uint8_t, kBlock> block_levels_;
   std::vector<std::uint32_t> block_buckets_;

@@ -44,9 +44,27 @@ std::string reference_blob(const DcsParams& params,
   return blob;
 }
 
+/// Feed `updates` through update_batch in spans whose lengths cycle
+/// through `spans`: by default one update, under, at and over a hash
+/// block, and several blocks.
+void feed(EpochSketch& epoch, const std::vector<KeyUpdate>& updates,
+          std::vector<std::size_t> spans = {1, 63, 64, 65, 300}) {
+  std::vector<PairKey> keys;
+  std::vector<int> deltas;
+  for (const KeyUpdate& u : updates) {
+    keys.push_back(u.key);
+    deltas.push_back(u.delta);
+  }
+  for (std::size_t at = 0, i = 0; at < keys.size(); ++i) {
+    const std::size_t n = std::min(spans[i % spans.size()], keys.size() - at);
+    epoch.update_batch({keys.data() + at, n}, {deltas.data() + at, n});
+    at += n;
+  }
+}
+
 std::string ingest_and_seal(EpochSketch& epoch,
                             const std::vector<KeyUpdate>& updates) {
-  for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+  feed(epoch, updates);
   return epoch.seal();
 }
 
@@ -288,7 +306,8 @@ TEST(EpochSketch, PaperEpochsReuseStagingAndSpill) {
     std::vector<KeyUpdate> updates;
     for (const FlowUpdate& u : workload.updates())
       updates.push_back({pack_pair(u.dest, u.source), u.delta});
-    for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
+    // In the agent's 4096-update handoff blocks: the folds land mid-span.
+    feed(epoch, updates, {4096});
     EXPECT_TRUE(epoch.spilled()) << "epoch " << e;
     ASSERT_EQ(epoch.seal(), reference_blob(params, updates)) << "epoch " << e;
   }
@@ -351,37 +370,38 @@ TEST(EpochSketch, KeyWiderThanKeyBitsThrowsAndChangesNothing) {
   EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
 }
 
-TEST(EpochSketch, BufferedUpdatesCountInEveryAccessor) {
+TEST(EpochSketch, TooWideKeyMidSpanThrowsAndAppliesNothing) {
   DcsParams params;
   params.key_bits = 20;
   params.buckets_per_table = 32;
   params.seed = 32;
   EpochSketch epoch(params);
-  // Fewer updates than a block: all still buffered, yet the accessors see
-  // them.
-  std::vector<KeyUpdate> updates;
-  for (PairKey k = 1; k <= 5; ++k) updates.push_back({k * 4099, +1});
-  for (const KeyUpdate& u : updates) epoch.update_key(u.key, u.delta);
-  EXPECT_NE(epoch.touched_levels(), 0u);
-  EXPECT_GE(epoch.staged_levels(), 1);
-  EXPECT_FALSE(epoch.spilled());
-  // A delta too wide to stage, still buffered, shows in spilled().
-  updates.push_back({77, 40'000});
-  epoch.update_key(77, 40'000);
+  // A span of three blocks and a tail, with a too-wide key in its third
+  // block: the throw comes before the first block is applied.
+  std::vector<PairKey> keys;
+  std::vector<int> deltas;
+  for (PairKey k = 1; k <= 200; ++k) {
+    keys.push_back((k * 4099) & 0xfffff);
+    deltas.push_back(k % 3 == 0 ? -1 : +1);
+  }
+  keys[150] = 1ULL << 20;
+  EXPECT_THROW(epoch.update_batch(keys, deltas), std::invalid_argument);
+  keys[150] = 77;
+  EXPECT_THROW(epoch.update_batch(keys, {deltas.data(), deltas.size() - 1}),
+               std::invalid_argument);
+  EXPECT_EQ(epoch.touched_levels(), 0u);
+  EXPECT_EQ(epoch.staged_levels(), 0);
+  // The same span with that key fitting and a delta too wide to stage
+  // applies in full.
+  deltas[150] = 40'000;
+  epoch.update_batch(keys, deltas);
   EXPECT_TRUE(epoch.spilled());
-  // A too-wide key mid-block throws at update_key and buffers nothing: the
-  // epoch continues across the block boundary without it.
-  for (PairKey k = 100; k < 130; ++k) {
-    updates.push_back({k, +1});
-    epoch.update_key(k, +1);
-  }
-  EXPECT_THROW(epoch.update_key(1ULL << 20, +1), std::invalid_argument);
-  for (PairKey k = 130; k < 200; ++k) {
-    updates.push_back({k, -1});
-    epoch.update_key(k, -1);
-  }
+  std::vector<KeyUpdate> updates;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    updates.push_back({keys[i], deltas[i]});
   EXPECT_EQ(epoch.seal(), reference_blob(params, updates));
   EXPECT_EQ(epoch.touched_levels(), 0u);
+  EXPECT_FALSE(epoch.spilled());
 }
 
 TEST(EpochSketch, InvalidParamsAreRejected) {

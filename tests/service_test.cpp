@@ -668,9 +668,12 @@ TEST(ServiceAgent, SpoolOverflowDropsOldestAndCounts) {
 /// checks each shipped blob against a fresh DistinctCountSketch fed that
 /// epoch's updates and serialized. The agent seals an under-full epoch by
 /// hand after `seal_at` updates, and flush() seals the final partial epoch.
+/// After `reject_at` updates it is offered a key too wide for the params,
+/// which must throw and leave the stream as it was.
 void expect_shipped_blobs_match_reference(
     const DcsParams& params, const std::vector<FlowUpdate>& updates,
-    std::uint64_t epoch_updates, std::size_t seal_at) {
+    std::uint64_t epoch_updates, std::size_t seal_at,
+    std::size_t reject_at = SIZE_MAX) {
   std::mutex tapped_mutex;
   std::map<std::uint64_t, std::string> tapped;  // epoch -> blob
   CollectorConfig collector_cfg = collector_config();
@@ -708,6 +711,8 @@ void expect_shipped_blobs_match_reference(
   auto config = agent_config(1, collector.port());
   config.params = params;
   config.epoch_updates = epoch_updates;
+  // Room for every epoch, so none is dropped however far ingest runs ahead.
+  config.spool_epochs = std::max(config.spool_epochs, expected.size());
   const std::uint64_t updates_before =
       obs::SketchMetrics::get().updates.value();
   SiteAgent agent(config);
@@ -715,6 +720,9 @@ void expect_shipped_blobs_match_reference(
   for (std::size_t i = 0; i < updates.size(); ++i) {
     agent.ingest(updates[i]);
     if (i + 1 == seal_at) agent.seal_epoch();
+    if (i + 1 == reject_at) {
+      EXPECT_THROW(agent.ingest(1, 0, +1), std::invalid_argument);
+    }
   }
   ASSERT_TRUE(agent.flush(10000));
   agent.stop();
@@ -757,6 +765,130 @@ TEST(ServiceAgent, ShippedBlobsEqualReferenceSerializeNarrowKeys) {
     updates.push_back({static_cast<Addr>(rng.bounded(1 << 24)), 0,
                        static_cast<std::int8_t>(rng.bounded(5) == 0 ? -1 : 1)});
   expect_shipped_blobs_match_reference(params, updates, 700, 1000);
+}
+
+/// The caller's thread hands updates to the sketch thread in blocks of
+/// 4096; epochs shorter, equal to and longer than a block, a manual seal
+/// and a rejected key mid-block all ship the reference blobs.
+TEST(ServiceAgent, ShippedBlobsEqualReferenceAcrossHandoffBlocks) {
+  DcsParams params = small_params();
+  params.key_bits = 24;  // dest 0, 24-bit sources; dest 1 is too wide
+  for (const std::uint64_t epoch_updates :
+       {1ull, 10ull, 4095ull, 4096ull, 4097ull, 10000ull}) {
+    SCOPED_TRACE(epoch_updates);
+    const std::size_t n =
+        std::max<std::size_t>(300, epoch_updates * 5 / 2 + 123);
+    Xoshiro256 rng(epoch_updates);
+    std::vector<FlowUpdate> updates;
+    for (std::size_t i = 0; i < n; ++i)
+      updates.push_back({static_cast<Addr>(rng.bounded(1 << 24)), 0,
+                         static_cast<std::int8_t>(rng.bounded(4) == 0 ? -1 : 1)});
+    expect_shipped_blobs_match_reference(params, updates, epoch_updates,
+                                         n / 2 + 7, n / 3);
+  }
+}
+
+/// Updates enough to keep the sketch thread busy: a caller that closes an
+/// epoch after this many finds several blocks still queued behind it.
+constexpr std::size_t kBusyEpoch = 12 * 4096;
+
+/// With a spool of one, closing the next epoch drops the one the sketch
+/// thread is still sealing. Its seal still resets the sketch, so the epoch
+/// that ships holds only its own updates, and the collector counts the
+/// dropped one as a gap.
+TEST(ServiceAgent, SpoolOfOneDropsTheEpochStillSealing) {
+  std::uint16_t port = 0;
+  {
+    auto listener = TcpListener::listen("127.0.0.1", 0);
+    ASSERT_TRUE(listener.has_value());
+    port = listener->port();
+  }
+  auto config = agent_config(1, port);
+  config.epoch_updates = kBusyEpoch * 2;
+  config.spool_epochs = 1;
+  SiteAgent agent(config);
+  agent.start();  // the port is closed: nothing ships yet
+  const auto updates = zipf_updates(kBusyEpoch + 100, 41);
+  DistinctCountSketch expected(small_params());
+  for (std::size_t i = kBusyEpoch; i < updates.size(); ++i)
+    expected.update(updates[i].dest, updates[i].source, updates[i].delta);
+  for (std::size_t i = 0; i < kBusyEpoch; ++i) agent.ingest(updates[i]);
+  agent.seal_epoch();
+  // The next epoch closes within microseconds, well inside the first's
+  // remaining blocks and seal.
+  for (std::size_t i = kBusyEpoch; i < updates.size(); ++i)
+    agent.ingest(updates[i]);
+  agent.seal_epoch();
+  auto stats = agent.stats();
+  EXPECT_EQ(stats.epochs_sealed, 2u);
+  EXPECT_EQ(stats.epochs_dropped, 1u);
+  EXPECT_EQ(stats.spool_depth, 1u);
+
+  CollectorConfig collector_cfg = collector_config();
+  collector_cfg.port = port;
+  Collector collector(collector_cfg);
+  collector.start();
+  EXPECT_TRUE(agent.flush(15000));
+  agent.stop();
+  stats = agent.stats();
+  EXPECT_EQ(stats.epochs_shipped, 1u);
+  ASSERT_TRUE(collector.wait_for_deltas(1, 10000));
+  EXPECT_TRUE(collector.merged_sketch() == expected);
+  EXPECT_EQ(collector.stats().dropped_epochs, 1u);
+  collector.stop();
+}
+
+/// A Hello sent while an epoch is still sealing names that epoch as the
+/// first the agent holds, so the collector counts no gap: the agent ships
+/// an epoch, stops, closes a busy epoch and reconnects at once.
+TEST(ServiceAgent, ReconnectWhileSealingCountsNoGap) {
+  Collector collector(collector_config());
+  collector.start();
+  auto config = agent_config(1, collector.port());
+  config.epoch_updates = kBusyEpoch * 2;
+  SiteAgent agent(config);
+  const auto updates = zipf_updates(kBusyEpoch + 500, 43);
+  DistinctCountSketch expected(small_params());
+  for (const FlowUpdate& u : updates)
+    expected.update(u.dest, u.source, u.delta);
+
+  agent.start();
+  for (std::size_t i = 0; i < 500; ++i) agent.ingest(updates[i]);
+  ASSERT_TRUE(agent.flush(10000));
+  agent.stop();
+  for (std::size_t i = 500; i < updates.size(); ++i) agent.ingest(updates[i]);
+  agent.seal_epoch();
+  agent.start();
+  ASSERT_TRUE(agent.flush(15000));
+  agent.stop();
+
+  ASSERT_TRUE(collector.wait_for_deltas(2, 10000));
+  const auto stats = collector.stats();
+  EXPECT_EQ(stats.dropped_epochs, 0u);
+  EXPECT_EQ(agent.stats().epochs_dropped, 0u);
+  EXPECT_TRUE(collector.merged_sketch() == expected);
+  collector.stop();
+}
+
+/// Destroying an agent with handoff blocks still queued discards them
+/// without hanging (the sanitizer builds also check nothing leaks), started
+/// or not.
+TEST(ServiceAgent, DestructorWithQueuedBlocksReturns) {
+  std::uint16_t dead_port = 0;
+  {
+    auto listener = TcpListener::listen("127.0.0.1", 0);
+    ASSERT_TRUE(listener.has_value());
+    dead_port = listener->port();
+  }
+  const auto updates = zipf_updates(kBusyEpoch, 47);
+  for (const bool started : {false, true}) {
+    auto config = agent_config(1, dead_port);
+    config.epoch_updates = 3 * 4096 + 11;
+    SiteAgent agent(config);
+    if (started) agent.start();
+    for (const FlowUpdate& u : updates) agent.ingest(u);
+    EXPECT_EQ(agent.stats().epochs_sealed, kBusyEpoch / config.epoch_updates);
+  }
 }
 
 /// Late-starting collector: the agent retries with backoff and delivers
@@ -1707,6 +1839,7 @@ void expect_agent_series(const obs::Snapshot& snapshot,
       {"dcs_agent_resume_skips_total", s.resume_skips},
       {"dcs_agent_nacks_total", s.nacks},
       {"dcs_agent_rehomes_total", s.rehomes},
+      {"dcs_agent_ingest_stalls_total", s.ingest_stalls},
   };
   for (const auto& [name, value] : counters)
     EXPECT_EQ(test::counter_value(snapshot, name, label), value) << name;
