@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "distributed/concurrent_monitor.hpp"
 #include "common/serialize.hpp"
 #include "net/exporter.hpp"
 #include "service/agent.hpp"
@@ -252,53 +251,6 @@ void BM_SlidingWindowUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlidingWindowUpdate)->Arg(2)->Arg(8);
-
-void BM_ConcurrentUpdate(benchmark::State& state) {
-  static ConcurrentMonitor* monitor = nullptr;
-  if (state.thread_index() == 0)
-    monitor = new ConcurrentMonitor(bench_params(), 16);
-  Xoshiro256 rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
-  for (auto _ : state) {
-    monitor->update(static_cast<Addr>(rng.bounded(10'000)),
-                    static_cast<Addr>(rng()), +1);
-  }
-  if (state.thread_index() == 0) {
-    delete monitor;
-    monitor = nullptr;
-  }
-}
-BENCHMARK(BM_ConcurrentUpdate)->Threads(1)->Threads(4);
-
-void BM_ConcurrentUpdateBatch(benchmark::State& state) {
-  // Bulk ingest through the stripe-partitioning batch path (one stripe lock
-  // per sub-batch) — contrast with BM_ConcurrentUpdate's lock-per-element.
-  const auto updates = bench_updates(100'000);
-  const std::size_t block = static_cast<std::size_t>(state.range(0));
-  ConcurrentMonitor monitor(bench_params(), 16);
-  const std::span<const FlowUpdate> all(updates);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t n = std::min(block, all.size() - i);
-    monitor.update_batch(all.subspan(i, n));
-    i = (i + n) % all.size();
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(n));
-  }
-}
-BENCHMARK(BM_ConcurrentUpdateBatch)->Arg(256)->Arg(1024);
-
-void BM_ConcurrentPipelinedUpdate(benchmark::State& state) {
-  // Per-element ingest into the per-stripe batch queues (queue_capacity > 0):
-  // the stripe's sketch lock is taken once per full queue.
-  ConcurrentMonitor monitor(bench_params(), 16, /*queue_capacity=*/1024);
-  Xoshiro256 rng(7);
-  for (auto _ : state) {
-    monitor.update(static_cast<Addr>(rng.bounded(10'000)),
-                   static_cast<Addr>(rng()), +1);
-  }
-  monitor.flush();
-}
-BENCHMARK(BM_ConcurrentPipelinedUpdate);
 
 void BM_ExporterObserve(benchmark::State& state) {
   // Exporter throughput on a SYN/ACK mix.

@@ -5,16 +5,10 @@
 // link: the paper's premise is that all stages are cheap enough for ISP-edge
 // deployment.
 //
-// Each ingest stage is measured three ways where the API supports it:
+// Each ingest stage is measured two ways:
 //   sequential — one call per element (update()/observe());
 //   batched    — caller-side blocks through the update_batch() fast path
-//                (hash precompute + prefetch + amortized telemetry, and for
-//                the concurrent monitor one stripe lock per block);
-//   pipelined  — ConcurrentMonitor per-stripe batch queues (queue_capacity >
-//                0): per-element enqueue, stripe lock once per full queue.
-// The pipelined/sequential ratio for the concurrent monitor is the headline
-// number: it is what a deployment gains from routing ingest through the
-// per-stripe batch queues instead of element-at-a-time lock-and-apply.
+//                (hash precompute + prefetch + amortized telemetry).
 //
 // Methodology for the sketch-ingest stages: one untimed warm-up pass
 // populates every sketch level and faults in the backing pages, then the
@@ -26,7 +20,6 @@
 
 #include "bench_util.hpp"
 #include "common/stopwatch.hpp"
-#include "distributed/concurrent_monitor.hpp"
 #include "net/exporter.hpp"
 #include "net/scenarios.hpp"
 #include "sketch/tracking_dcs.hpp"
@@ -37,11 +30,6 @@ int main(int argc, char** argv) {
   const Options options(argc, argv);
   const Scale scale = Scale::resolve(options);
   const std::size_t block = 1024;   // caller-side batch (NIC-burst sized)
-  const std::size_t stripes = 16;
-  // Per-stripe queue depth for pipelined mode. Larger than the caller-side
-  // block: enqueueing is cheap, and a deeper queue hands update_batch()
-  // bigger level-sorted applies per stripe-lock acquisition.
-  const std::size_t queue_capacity = 4096;
 
   // Build a realistic packet mix: background sessions + a flood + a crowd.
   Timeline timeline(3);
@@ -136,32 +124,6 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Stage 3: concurrent monitor ingest — the three modes. Same updates, same
-  // stripe count; only the locking/batching discipline changes.
-  Steady monitor_mups, monitor_batched_mups, monitor_pipelined_mups;
-  {
-    ConcurrentMonitor monitor(params, stripes);
-    monitor_mups = steady_mups([&] {
-      for (const FlowUpdate& u : updates)
-        monitor.update(u.dest, u.source, u.delta);
-    });
-  }
-  {
-    ConcurrentMonitor monitor(params, stripes);
-    monitor_batched_mups = steady_mups([&] {
-      for (std::size_t i = 0; i < all.size(); i += block)
-        monitor.update_batch(all.subspan(i, std::min(block, all.size() - i)));
-    });
-  }
-  {
-    ConcurrentMonitor monitor(params, stripes, queue_capacity);
-    monitor_pipelined_mups = steady_mups([&] {
-      for (const FlowUpdate& u : updates)
-        monitor.update(u.dest, u.source, u.delta);
-      monitor.flush();
-    });
-  }
-
   // Composed: packets in, alerts-capable state out, query every 4096 updates.
   double composed_mpps, composed_batched_mpps;
   std::uint64_t checksum = 0;
@@ -218,12 +180,6 @@ int main(int argc, char** argv) {
             38);
   print_row({"tracking sketch batched (updates)",
              format_double(sketch_batched_mups.best, 2)}, 38);
-  print_row({"concurrent sequential (updates)",
-             format_double(monitor_mups.best, 2)}, 38);
-  print_row({"concurrent batched (updates)",
-             format_double(monitor_batched_mups.best, 2)}, 38);
-  print_row({"concurrent pipelined (updates)",
-             format_double(monitor_pipelined_mups.best, 2)}, 38);
   print_row({"composed pipeline (packets)", format_double(composed_mpps, 2)},
             38);
   print_row({"composed batched (packets)",
@@ -232,10 +188,6 @@ int main(int argc, char** argv) {
               packets.size(), updates.size(),
               static_cast<double>(updates.size()) /
                   static_cast<double>(packets.size()));
-  std::printf("batched ingest speedup over sequential (concurrent): %.2fx\n",
-              monitor_batched_mups.best / monitor_mups.best);
-  std::printf("pipelined ingest speedup over sequential (concurrent): %.2fx\n",
-              monitor_pipelined_mups.best / monitor_mups.best);
 
   // BENCH JSON: every stage's throughput, best-of-3 with recorded spread
   // for the warmed stages (higher is better), single-shot exporter stages
@@ -257,17 +209,10 @@ int main(int argc, char** argv) {
                 Direction::kHigherIsBetter);
   steady("sketch_mups", sketch_mups);
   steady("sketch_batched_mups", sketch_batched_mups);
-  steady("concurrent_mups", monitor_mups);
-  steady("concurrent_batched_mups", monitor_batched_mups);
-  steady("concurrent_pipelined_mups", monitor_pipelined_mups);
   report.metric("throughput", "composed_mpps", composed_mpps,
                 Direction::kHigherIsBetter);
   report.metric("throughput", "composed_batched_mpps", composed_batched_mpps,
                 Direction::kHigherIsBetter);
-  report.value("speedups", "batched_vs_sequential",
-               monitor_batched_mups.best / monitor_mups.best);
-  report.value("speedups", "pipelined_vs_sequential",
-               monitor_pipelined_mups.best / monitor_mups.best);
   write_report(report, options);
   return 0;
 }

@@ -1,17 +1,19 @@
-// Distributed deployment: eight simulated edge routers each sketch their
-// slice of the traffic; a central collector merges the (linear) sketches and
-// queries the network-wide top-k. Demonstrates that the merged view equals a
-// single monitor over the union stream, including a serialize/ship/merge
-// round trip for one router.
+// Distributed deployment: eight edge routers each run a site agent over
+// their slice of the traffic and ship every sealed epoch sketch over TCP to
+// one collector, which merges the (linear) sketches and queries the
+// network-wide top-k. Demonstrates that the merged view equals a single
+// monitor over the union stream.
 //
 //   build/examples/distributed_isp
 #include <cstdio>
-#include <sstream>
+#include <memory>
+#include <vector>
 
-#include "distributed/sharded_monitor.hpp"
+#include "common/hash.hpp"
 #include "net/exporter.hpp"
 #include "net/scenarios.hpp"
-#include "sketch/tracking_dcs.hpp"
+#include "service/agent.hpp"
+#include "service/collector.hpp"
 
 int main() {
   using namespace dcs;
@@ -37,35 +39,46 @@ int main() {
   DcsParams params;
   params.seed = 1001;  // every router must share parameters AND seed
 
+  // The collector, on an ephemeral loopback port.
+  service::CollectorConfig collector_config;
+  collector_config.params = params;
+  service::Collector collector(collector_config);
+  collector.start();
+
   constexpr std::size_t kRouters = 8;
-  ShardedMonitor routers(params, kRouters);
+  std::vector<std::unique_ptr<service::SiteAgent>> routers;
+  for (std::size_t i = 0; i < kRouters; ++i) {
+    service::SiteAgentConfig agent_config;
+    agent_config.site_id = i + 1;
+    agent_config.collector_port = collector.port();
+    agent_config.params = params;
+    routers.push_back(std::make_unique<service::SiteAgent>(agent_config));
+    routers.back()->start();
+  }
+
+  // Egress monitoring pins a (source, dest) pair to one router.
   DistinctCountSketch reference(params);  // what one central box would build
   for (const FlowUpdate& u : updates) {
-    routers.update(u.dest, u.source, u.delta);
+    routers[mix64(pack_pair(u.dest, u.source)) % kRouters]->ingest(u);
     reference.update(u.dest, u.source, u.delta);
   }
-
-  std::printf("%zu routers observed %zu updates; per-router sketch ~%.1f KiB\n",
-              kRouters, updates.size(),
-              static_cast<double>(routers.shard(0).memory_bytes()) / 1024.0);
-
-  // Ship one router's sketch over the wire (serialize -> deserialize) to show
-  // the collector path works across process boundaries.
-  std::stringstream wire;
-  {
-    BinaryWriter writer(wire);
-    routers.shard(0).serialize(writer);
+  // Each router ships its last epoch and says Bye.
+  std::uint64_t epochs = 0;
+  for (const auto& router : routers) {
+    router->stop(10'000);
+    epochs += router->stats().epochs_shipped;
   }
-  BinaryReader reader(wire);
-  const DistinctCountSketch shipped = DistinctCountSketch::deserialize(reader);
-  std::printf("router 0 sketch shipped: %zu bytes on the wire, intact: %s\n",
-              wire.str().size(),
-              shipped == routers.shard(0) ? "yes" : "NO");
+  const bool all_byes = collector.wait_for_byes(kRouters, 10'000);
+  collector.stop();
 
-  // Collector: merge and query.
-  const TrackingDcs collected = routers.collect_tracking();
+  const auto stats = collector.stats();
+  std::printf("%zu routers observed %zu updates and shipped %llu epoch "
+              "sketches; the collector merged %llu\n",
+              kRouters, updates.size(), static_cast<unsigned long long>(epochs),
+              static_cast<unsigned long long>(stats.deltas_merged));
+
   std::printf("\nnetwork-wide top-3 (merged at collector):\n");
-  for (const TopKEntry& e : collected.top_k(3).entries) {
+  for (const TopKEntry& e : collector.top_k(3).entries) {
     const char* tag = e.group == flood_a.victim   ? " <- victim A"
                       : e.group == flood_b.victim ? " <- victim B"
                                                   : "";
@@ -73,7 +86,8 @@ int main() {
                 static_cast<unsigned long long>(e.estimate), tag);
   }
 
-  const bool merged_matches = routers.collect() == reference;
+  const bool merged_matches =
+      all_byes && collector.merged_sketch() == reference;
   std::printf("\nmerged sketch identical to single-monitor sketch: %s\n",
               merged_matches ? "yes" : "NO");
   return merged_matches ? 0 : 1;

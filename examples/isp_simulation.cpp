@@ -5,7 +5,8 @@
 //   hosts (clients / servers / zombies)
 //     -> packets routed hop-by-hop over a core-ring topology
 //     -> per-edge-router NetFlow exporters (ingress taps)
-//     -> per-router Distinct-Count Sketches (one seed, shared params)
+//     -> per-router site agents (one seed, shared params), each shipping
+//        its sealed epoch sketches over TCP
 //     -> central collector: linear merge -> TrackingDcs -> top-k / alerts
 //
 //   build/examples/isp_simulation [--zombies-sources 15000] [--clients 8000]
@@ -14,8 +15,9 @@
 #include <vector>
 
 #include "common/options.hpp"
-#include "distributed/sharded_monitor.hpp"
 #include "net/exporter.hpp"
+#include "service/agent.hpp"
+#include "service/collector.hpp"
 #include "sim/agents.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
@@ -63,19 +65,33 @@ int main(int argc, char** argv) {
     simulator.set_behavior(client, std::make_unique<ClientBehavior>(
                                        ClientBehavior::Config{.address = client}));
 
-  // --- Monitoring: one exporter + sketch per edge router. ------------------
+  // --- Monitoring: one exporter + site agent per edge router, shipping to
+  // one collector on an ephemeral loopback port. -------------------------
   DcsParams params;
   params.seed = 2026;  // all routers share parameters and seed
-  ShardedMonitor monitors(params, edges.size());
+  service::CollectorConfig collector_config;
+  collector_config.params = params;
+  service::Collector collector(collector_config);
+  collector.start();
+  std::vector<std::unique_ptr<service::SiteAgent>> agents;
   std::vector<std::unique_ptr<FlowUpdateExporter>> exporters;
+  DistinctCountSketch reference(params);  // what one central box would build
   for (std::size_t i = 0; i < edges.size(); ++i) {
+    service::SiteAgentConfig agent_config;
+    agent_config.site_id = i + 1;
+    agent_config.collector_port = collector.port();
+    agent_config.params = params;
+    agents.push_back(std::make_unique<service::SiteAgent>(agent_config));
+    agents.back()->start();
     exporters.push_back(std::make_unique<FlowUpdateExporter>(5000));
     FlowUpdateExporter* exporter = exporters.back().get();
+    service::SiteAgent* agent = agents.back().get();
     simulator.add_ingress_tap(
-        edges[i], [exporter, &monitors, i](RouterId, std::uint64_t,
-                                           const Packet& packet) {
-          exporter->observe(packet, [&monitors, i](const FlowUpdate& update) {
-            monitors.update_at(i, update.dest, update.source, update.delta);
+        edges[i], [exporter, agent, &reference](RouterId, std::uint64_t,
+                                                const Packet& packet) {
+          exporter->observe(packet, [&](const FlowUpdate& update) {
+            agent->ingest(update);
+            reference.update(update.dest, update.source, update.delta);
           });
         });
   }
@@ -93,6 +109,14 @@ int main(int argc, char** argv) {
                        spoofed_sources - spoofed_sources / 2, 0x1234, rng);
 
   simulator.run();
+  // Each router ships its last epoch and says Bye.
+  std::uint64_t epochs = 0;
+  for (const auto& agent : agents) {
+    agent->stop(10'000);
+    epochs += agent->stats().epochs_shipped;
+  }
+  const bool all_byes = collector.wait_for_byes(agents.size(), 10'000);
+  collector.stop();
 
   // --- Results. ---------------------------------------------------------------
   const SimStats& stats = simulator.stats();
@@ -108,23 +132,27 @@ int main(int argc, char** argv) {
               popular_ptr->half_open(),
               static_cast<unsigned long long>(popular_ptr->established()));
 
-  const TrackingDcs collected = monitors.collect_tracking();
   std::printf("collector top-3 by distinct half-open sources:\n");
-  for (const TopKEntry& e : collected.top_k(3).entries) {
+  for (const TopKEntry& e : collector.top_k(3).entries) {
     const char* tag = e.group == kVictim        ? " <- the victim"
                       : e.group == kPopularSite ? " (popular site)"
                                                 : "";
     std::printf("  dest=%08x ~%llu%s\n", e.group,
                 static_cast<unsigned long long>(e.estimate), tag);
   }
-  std::printf("total monitoring state across %zu routers: %.1f KiB\n",
-              monitors.num_shards(),
-              static_cast<double>(monitors.memory_bytes()) / 1024.0);
+  std::printf("%zu routers shipped %llu epoch sketches; the collector "
+              "merged %llu\n",
+              agents.size(), static_cast<unsigned long long>(epochs),
+              static_cast<unsigned long long>(
+                  collector.stats().deltas_merged));
 
-  const auto top = collected.top_k(1).entries;
+  const bool identical = all_byes && collector.merged_sketch() == reference;
+  std::printf("merged sketch identical to single-monitor sketch: %s\n",
+              identical ? "yes" : "NO");
+  const auto top = collector.top_k(1).entries;
   const bool correct = !top.empty() && top[0].group == kVictim;
   std::printf("\nverdict: %s\n", correct
                                      ? "victim correctly identified at the collector"
                                      : "FAILED to identify the victim");
-  return correct ? 0 : 1;
+  return identical && correct ? 0 : 1;
 }

@@ -246,7 +246,9 @@ def compare(current, baseline):
 
     Returns (rows, regressions). Each row is
     (name, base_value, cur_value, delta_pct, threshold_pct, status) with
-    status one of OK / REGRESS / IMPROVED / SKIP(cpu) / new.
+    status one of OK / REGRESS / IMPROVED / SKIP(cpu) / new / gone. A
+    gated baseline metric the current run no longer reports is a ``gone``
+    row, listed so a deleted metric is visible, but not a regression.
     """
     cpu_match = (current.get("meta", {}).get("cpu") ==
                  baseline.get("meta", {}).get("cpu"))
@@ -257,11 +259,11 @@ def compare(current, baseline):
     rows = []
     regressions = []
     for bench, section, key, metric in iter_metrics(current):
+        base = base_index.pop((bench, section, key), None)
         direction = metric.get("dir", "info")
         if direction == "info":
             continue
         name = f"{bench}/{section}/{key}"
-        base = base_index.get((bench, section, key))
         if base is None:
             rows.append((name, None, metric["value"], None, None, "new"))
             continue
@@ -297,6 +299,10 @@ def compare(current, baseline):
             status = "OK"
         rows.append((name, base_value, cur_value, delta_pct, threshold,
                      status))
+    for (bench, section, key), base in sorted(base_index.items()):
+        if base.get("dir", "info") != "info":
+            rows.append((f"{bench}/{section}/{key}", base["value"], None,
+                         None, None, "gone"))
     return rows, regressions
 
 
@@ -465,6 +471,15 @@ def self_test():
     rows, regressions = compare(
         _suite_doc("cpuA", {"brand_new": (1.0, "lower", None, False)}), base)
     check("new metric tolerated", not regressions)
+
+    # 9. Gated baseline metrics missing from the current run are listed as
+    # 'gone', not failures; a gone info metric is not listed.
+    rows, regressions = compare(
+        _suite_doc("cpuA", {"throughput": (100.0, "higher", 5.0, False)}),
+        base)
+    gone = sorted(name for name, *_rest, status in rows if status == "gone")
+    check("gone metrics listed, not failed", not regressions and gone == [
+        "fake/main/latency", "fake/main/noisy", "fake/main/recall"])
 
     if failures:
         print(f"self-test: {len(failures)} check(s) failed", file=sys.stderr)

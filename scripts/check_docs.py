@@ -37,7 +37,7 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 TOOLS = ("dcs_cli", "dcs_collector", "dcs_agent", "dcs_chaos",
-         "dcs_query_server", "dcs_root", "dcs_shardmap")
+         "dcs_query_server", "dcs_shardmap")
 
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9-]*")
 

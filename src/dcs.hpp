@@ -3,7 +3,9 @@
 // Pulls in the public API surface:
 //   * sketches      — DistinctCountSketch, TrackingDcs, SlidingWindowSketch
 //   * detection     — DdosMonitor, EpochChangeDetector
-//   * distribution  — ShardedMonitor, ConcurrentMonitor
+//   * distribution  — EpochSketch and SketchBlob, the edge form a site
+//                     agent seals and the shipped form a collector merges
+//                     (src/service runs the agents and collectors)
 //   * stream model  — FlowUpdate, ZipfWorkload, trace I/O
 //   * network sim   — Topology, Simulator, host agents, scenarios, exporter
 //   * baselines     — exact tracker and the comparison algorithms
@@ -16,8 +18,6 @@
 #include "detection/alert_log.hpp"
 #include "detection/ddos_monitor.hpp"
 #include "detection/epoch_change.hpp"
-#include "distributed/concurrent_monitor.hpp"
-#include "distributed/sharded_monitor.hpp"
 #include "metrics/accuracy.hpp"
 #include "net/exporter.hpp"
 #include "obs/export.hpp"
@@ -28,6 +28,8 @@
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sketch/distinct_count_sketch.hpp"
+#include "sketch/epoch_sketch.hpp"
+#include "sketch/sketch_blob.hpp"
 #include "sketch/sliding_window.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"

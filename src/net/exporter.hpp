@@ -45,8 +45,7 @@ class FlowUpdateExporter {
  public:
   using UpdateSink = std::function<void(const FlowUpdate&)>;
   /// Sink receiving blocks of flow updates, sized for the batched sketch
-  /// ingest path (DistinctCountSketch/TrackingDcs/ConcurrentMonitor
-  /// ::update_batch).
+  /// ingest path (DistinctCountSketch/TrackingDcs::update_batch).
   using BatchSink = std::function<void(std::span<const FlowUpdate>)>;
 
   /// `interval_ticks` controls the granularity of the SYN/FIN aggregates.

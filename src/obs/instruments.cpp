@@ -128,42 +128,6 @@ MonitorMetrics& MonitorMetrics::get() {
   return instance;
 }
 
-Counter& DistributedMetrics::shard_updates(std::size_t shard) {
-  return Registry::global().counter(
-      "dcs_sharded_updates_total",
-      "Flow updates ingested per simulated edge-router shard",
-      {{"shard", index_label(shard, kMaxIndexLabel)}});
-}
-
-Counter& DistributedMetrics::stripe_updates(std::size_t stripe) {
-  return Registry::global().counter(
-      "dcs_concurrent_updates_total",
-      "Flow updates ingested per concurrent-monitor stripe",
-      {{"stripe", index_label(stripe, kMaxIndexLabel)}});
-}
-
-DistributedMetrics& DistributedMetrics::get() {
-  static DistributedMetrics instance{
-      Registry::global().counter(
-          "dcs_concurrent_snapshots_total",
-          "Stripe-merge snapshots taken by concurrent monitors"),
-      Registry::global().histogram(
-          "dcs_concurrent_snapshot_latency_ns",
-          "Concurrent-monitor snapshot (stripe merge) latency, ns"),
-      Registry::global().histogram(
-          "dcs_sharded_collect_latency_ns",
-          "Sharded-monitor collect (shard merge) latency, ns"),
-      Registry::global().counter(
-          "dcs_concurrent_batch_applies_total",
-          "Batches applied to concurrent-monitor stripes (queue flushes "
-          "plus bulk update_batch sub-batches)"),
-      Registry::global().histogram(
-          "dcs_concurrent_batch_fill_updates",
-          "Updates per batch applied to a concurrent-monitor stripe "
-          "(queue depth at flush time)")};
-  return instance;
-}
-
 ReactorMetrics& ReactorMetrics::get() {
   static ReactorMetrics instance{
       Registry::global().counter(

@@ -108,25 +108,6 @@ struct MonitorMetrics {
   static MonitorMetrics& get();
 };
 
-/// ShardedMonitor / ConcurrentMonitor: per-shard and per-stripe ingest.
-struct DistributedMetrics {
-  Counter& snapshots;           // dcs_concurrent_snapshots_total
-  Histogram& snapshot_ns;       // dcs_concurrent_snapshot_latency_ns
-  Histogram& collect_ns;        // dcs_sharded_collect_latency_ns
-  Counter& batch_applies;       // dcs_concurrent_batch_applies_total
-  Histogram& batch_fill;        // dcs_concurrent_batch_fill_updates
-
-  /// dcs_sharded_updates_total{shard=...}; indices beyond kMaxIndexLabel
-  /// fold into the final "32+" series. Takes the registry lock — resolve
-  /// once at construction, never per update.
-  static constexpr std::size_t kMaxIndexLabel = 32;
-  static Counter& shard_updates(std::size_t shard);
-  /// dcs_concurrent_updates_total{stripe=...}, same folding rule.
-  static Counter& stripe_updates(std::size_t stripe);
-
-  static DistributedMetrics& get();
-};
-
 /// src/service epoll ingest reactor: event-loop health, process-wide across
 /// every collector's reactor. Frame/merge/shed accounting is each
 /// collector's own (Collector::Stats, exported per instance); these cover

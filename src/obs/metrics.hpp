@@ -1,13 +1,13 @@
 // Runtime telemetry primitives for the streaming hot paths.
 //
-// The monitors this library grows into (ROADMAP: production-scale, sharded,
-// concurrent) need to be observable while they run, not just benchmarkable
-// offline. This header provides the three classic metric kinds —
+// The agents and collectors this library runs need to be observable while
+// they run, not just benchmarkable offline. This header provides the three
+// classic metric kinds —
 //   * Counter   — monotonic u64 (events since process start),
 //   * Gauge     — instantaneous i64 (current table sizes, active alarms),
 //   * Histogram — fixed-bucket log2-scale distribution (latencies in ns),
-// all built on relaxed std::atomic operations so the sharded/concurrent
-// monitors can record from many threads without locks, plus a Registry that
+// all built on relaxed std::atomic operations so agent, collector and
+// reactor threads can record without locks, plus a Registry that
 // owns named instances and produces consistent point-in-time snapshots for
 // the Prometheus/JSON exporters (see obs/export.hpp).
 //

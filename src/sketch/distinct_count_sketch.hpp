@@ -6,8 +6,8 @@
 // (see count_signature.hpp). The sketch is *linear* in the update stream:
 // every counter is a signed sum of ±1 contributions, so deletions exactly
 // cancel insertions and two sketches with identical parameters merge by
-// adding counters — which is how multiple router-level monitors combine into
-// one network-wide view (src/distributed).
+// adding counters — which is how the epoch sketches site agents ship combine
+// into one network-wide view at a collector (src/service).
 //
 // Query (BaseTopk, Fig. 3): walk levels top-down collecting singleton keys —
 // a *distinct sample* of the active (net-positive) pairs — until the sample

@@ -3,7 +3,7 @@
 // hoisting, prefetching, and (on capable CPUs) vectorized signature adds
 // must all produce a bit-identical sketch — verified via operator== across
 // parameter grids, random batch boundaries, deletions, and every consumer
-// of the batch path (basic sketch, tracking sketch, concurrent monitor).
+// of the batch path (basic sketch, tracking sketch).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "distributed/concurrent_monitor.hpp"
 #include "sketch/distinct_count_sketch.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"
@@ -150,33 +149,6 @@ TEST(BatchEquivalence, EmptySpanIsANoOp) {
   TrackingDcs tracker{DcsParams{}};
   tracker.update_batch({});
   EXPECT_TRUE(tracker.check_invariants());
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent monitor: caller-side batches and pipelined queues both merge to
-// the same snapshot as element-at-a-time direct ingest.
-// ---------------------------------------------------------------------------
-TEST(BatchEquivalence, ConcurrentMonitorBatchedSnapshotMatchesDirect) {
-  DcsParams params;
-  params.seed = 31;
-  const auto updates = make_stream(77, 1.2, 6000, 150);
-
-  ConcurrentMonitor direct(params, 4);
-  for (const FlowUpdate& u : updates) direct.update(u.dest, u.source, u.delta);
-
-  ConcurrentMonitor batched(params, 4);
-  Xoshiro256 rng(13);
-  ingest_random_blocks(batched, std::span<const FlowUpdate>(updates), rng, 500);
-
-  ConcurrentMonitor pipelined(params, 4, /*queue_capacity=*/64);
-  for (const FlowUpdate& u : updates)
-    pipelined.update(u.dest, u.source, u.delta);
-
-  const DistinctCountSketch reference = direct.snapshot();
-  EXPECT_TRUE(reference == batched.snapshot());
-  // snapshot() drains the queues itself; no explicit flush() needed first.
-  EXPECT_TRUE(reference == pipelined.snapshot());
-  EXPECT_EQ(pipelined.pending_updates(), 0u);
 }
 
 }  // namespace

@@ -35,7 +35,24 @@ if(NOT seq_out STREQUAL batch_out)
   message(FATAL_ERROR "topk --batch output diverged from sequential:\n"
     "sequential:\n${seq_out}\nbatched:\n${batch_out}")
 endif()
-run_cli(topk --trace trace.bin --k 5 --threads 3)
+# Threaded ingest seals one epoch sketch per thread and merges the blobs;
+# by linearity its entries must be exactly the sequential tracker's.
+execute_process(
+  COMMAND ${DCS_CLI} topk --trace trace.bin --k 5 --threads 3
+  WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE threads_status
+  OUTPUT_VARIABLE threads_out ERROR_VARIABLE threads_err)
+if(NOT threads_status EQUAL 0)
+  message(FATAL_ERROR "topk --threads smoke failed:\n${threads_err}")
+endif()
+string(REGEX MATCHALL "[0-9]+  dest=[0-9a-f]+  frequency~[0-9]+"
+  seq_entries "${seq_out}")
+string(REGEX MATCHALL "[0-9]+  dest=[0-9a-f]+  frequency~[0-9]+"
+  threads_entries "${threads_out}")
+if("${seq_entries}" STREQUAL "" OR
+   NOT seq_entries STREQUAL threads_entries)
+  message(FATAL_ERROR "topk --threads entries diverged from sequential:\n"
+    "sequential:\n${seq_out}\nthreaded:\n${threads_out}")
+endif()
 run_cli(sketch --trace trace.bin --out a.dcs --seed 9)
 run_cli(sketch --trace trace.bin --out b.dcs --seed 9)
 run_cli(merge --out merged.dcs a.dcs b.dcs)

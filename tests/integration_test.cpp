@@ -4,23 +4,47 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/exact_tracker.hpp"
 #include "baselines/syn_fin_cusum.hpp"
+#include "common/hash.hpp"
 #include "detection/ddos_monitor.hpp"
-#include "distributed/sharded_monitor.hpp"
 #include "metrics/accuracy.hpp"
 #include "net/exporter.hpp"
 #include "net/scenarios.hpp"
 #include "sim/agents.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
+#include "sketch/epoch_sketch.hpp"
+#include "sketch/sketch_blob.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"
 #include "stream/trace_io.hpp"
 
 namespace dcs {
 namespace {
+
+/// One EpochSketch per router, all with the same params.
+std::vector<EpochSketch> make_routers(const DcsParams& params,
+                                      std::size_t count) {
+  std::vector<EpochSketch> routers;
+  routers.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) routers.emplace_back(params);
+  return routers;
+}
+
+/// The collector's view: every router seals its epoch into a blob, which is
+/// parsed and merged, as a site agent and a collector do.
+DistinctCountSketch collect(std::vector<EpochSketch>& routers) {
+  DistinctCountSketch merged(routers.front().params());
+  for (EpochSketch& router : routers) {
+    const std::string blob = router.seal();
+    merged.merge(SketchBlob::parse(blob));
+  }
+  return merged;
+}
 
 TEST(Integration, SketchTracksExactThroughAttackPipeline) {
   Timeline timeline(11);
@@ -131,10 +155,13 @@ TEST(Integration, DistributedMonitorDetectsAttackAtCollector) {
 
   DcsParams params;
   params.seed = 3;
-  ShardedMonitor sharded(params, 8);
-  for (const FlowUpdate& u : updates) sharded.update(u.dest, u.source, u.delta);
+  // Egress monitoring pins a (source, dest) pair to one router.
+  auto routers = make_routers(params, 8);
+  for (const FlowUpdate& u : updates)
+    routers[mix64(pack_pair(u.dest, u.source)) % routers.size()].update(
+        u.dest, u.source, u.delta);
 
-  const TrackingDcs collected = sharded.collect_tracking();
+  const TrackingDcs collected(collect(routers));
   const auto top = collected.top_k(1).entries;
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].group, flood.victim);
@@ -173,7 +200,7 @@ TEST(Integration, AccuracyImprovesWithSketchWidth) {
 
 TEST(Integration, SimulatedNetworkFeedsDistributedMonitor) {
   // End to end through the event-driven simulator: emergent flood dynamics,
-  // per-edge ingress exporters, sharded sketches, collector query.
+  // per-edge ingress exporters, per-router sealed epochs, collector query.
   sim::Topology topology;
   const auto edges = sim::make_isp_topology(topology, 4);
   constexpr Addr kVictim = 0x0a0000fe;
@@ -195,7 +222,7 @@ TEST(Integration, SimulatedNetworkFeedsDistributedMonitor) {
 
   DcsParams params;
   params.seed = 12;
-  ShardedMonitor monitors(params, edges.size());
+  auto routers = make_routers(params, edges.size());
   DistinctCountSketch single(params);
   std::vector<std::unique_ptr<FlowUpdateExporter>> exporters;
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -203,10 +230,10 @@ TEST(Integration, SimulatedNetworkFeedsDistributedMonitor) {
     FlowUpdateExporter* exporter = exporters.back().get();
     simulator.add_ingress_tap(
         edges[i],
-        [exporter, &monitors, &single, i](sim::RouterId, std::uint64_t,
-                                          const Packet& packet) {
+        [exporter, &routers, &single, i](sim::RouterId, std::uint64_t,
+                                         const Packet& packet) {
           exporter->observe(packet, [&](const FlowUpdate& update) {
-            monitors.update_at(i, update.dest, update.source, update.delta);
+            routers[i].update(update.dest, update.source, update.delta);
             single.update(update.dest, update.source, update.delta);
           });
         });
@@ -227,8 +254,9 @@ TEST(Integration, SimulatedNetworkFeedsDistributedMonitor) {
 
   // Collector view == single-monitor view, and it names the victim with the
   // flood's (not the legitimate clients') magnitude.
-  EXPECT_TRUE(monitors.collect() == single);
-  const auto top = monitors.collect_tracking().top_k(1).entries;
+  const DistinctCountSketch collected = collect(routers);
+  EXPECT_TRUE(collected == single);
+  const auto top = TrackingDcs(collected).top_k(1).entries;
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].group, kVictim);
   EXPECT_NEAR(static_cast<double>(top[0].estimate), 2000.0, 800.0);

@@ -1,13 +1,12 @@
 // Coverage for smaller API surfaces not exercised elsewhere: partial
-// simulator runs, topology introspection, volume heavy-hitter eviction,
-// concurrent monitor pass-throughs, and sample collection internals.
+// simulator runs, topology introspection, volume heavy-hitter eviction and
+// sample collection internals.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "baselines/count_min.hpp"
 #include "common/random.hpp"
-#include "distributed/concurrent_monitor.hpp"
 #include "sim/agents.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
@@ -68,16 +67,6 @@ TEST(VolumeHeavyHitters, EvictionKeepsTheHeavyGroups) {
   EXPECT_EQ(top.entries[0].group, 42u);
   // The candidate set was pruned to stay bounded.
   EXPECT_LE(volume.top_k(100'000).entries.size(), 4096u);
-}
-
-TEST(ConcurrentMonitor, TopKConvenienceMatchesSnapshot) {
-  DcsParams params;
-  params.buckets_per_table = 64;
-  params.seed = 2;
-  ConcurrentMonitor monitor(params, 2);
-  for (Addr s = 0; s < 200; ++s) monitor.update(9, s, +1);
-  EXPECT_EQ(monitor.top_k(1).entries, monitor.snapshot().top_k(1).entries);
-  EXPECT_EQ(monitor.num_stripes(), 2u);
 }
 
 TEST(CollectSample, ReportsInferenceLevelAndKeys) {

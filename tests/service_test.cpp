@@ -433,6 +433,33 @@ TEST(ServiceLoopback, FourSiteMergeEqualsSingleSketchReference) {
   collector.stop();
 }
 
+/// Asymmetric routing: every pair one site inserts, another site deletes.
+/// The merged sketch must cancel to empty, as one sketch of the union
+/// stream would.
+TEST(ServiceLoopback, AsymmetricInsertDeleteAcrossSitesCancels) {
+  Collector collector(collector_config());
+  collector.start();
+
+  std::vector<FlowUpdate> pairs;
+  for (Addr dest = 1; dest <= 10; ++dest)
+    for (Addr source = 0; source < 200; ++source)
+      pairs.push_back({source, dest, +1});
+  for (const int delta : {+1, -1}) {
+    SiteAgent agent(agent_config(delta > 0 ? 1 : 2, collector.port()));
+    agent.start();
+    for (const FlowUpdate& u : pairs) agent.ingest(u.dest, u.source, delta);
+    EXPECT_TRUE(agent.flush(10000));
+    agent.stop();
+  }
+
+  const std::uint64_t epochs_per_site = (pairs.size() + 499) / 500;
+  ASSERT_TRUE(collector.wait_for_deltas(2 * epochs_per_site, 10000));
+  EXPECT_EQ(collector.stats().dropped_epochs, 0u);
+  EXPECT_TRUE(collector.merged_sketch() == DistinctCountSketch(small_params()));
+  EXPECT_TRUE(collector.top_k(5).entries.empty());
+  collector.stop();
+}
+
 /// Killing an agent abruptly (destructor without Bye — a crash, as far as
 /// the collector can tell) must not block queries or corrupt the merged
 /// view, and a restarted agent resuming at a later epoch surfaces the gap

@@ -14,8 +14,10 @@
 //       exact tracker with --exact) and print the top-k destinations by
 //       distinct-source frequency. --batch ingests through the batched
 //       fast path in blocks of --block (default 1024) updates; --threads N
-//       ingests through a ConcurrentMonitor with N pipelined stripes fed by
-//       N real threads, then answers from a consistent snapshot.
+//       splits the trace over N threads, each updating its own EpochSketch
+//       (the site agent's edge form) and sealing it into a sketch blob, then
+//       answers from the merge of the N blobs — the collector's own codec
+//       and merge.
 //
 //   sketch    --trace trace.bin --out sketch.dcs [--r N] [--s N] [--seed N]
 //       Build a basic sketch from a trace and persist it.
@@ -61,10 +63,11 @@
 #include "common/options.hpp"
 #include "detection/alert_log.hpp"
 #include "detection/ddos_monitor.hpp"
-#include "distributed/concurrent_monitor.hpp"
 #include "net/exporter.hpp"
 #include "obs/export.hpp"
 #include "sketch/distinct_count_sketch.hpp"
+#include "sketch/epoch_sketch.hpp"
+#include "sketch/sketch_blob.hpp"
 #include "sketch/tracking_dcs.hpp"
 #include "stream/generator.hpp"
 #include "stream/trace_io.hpp"
@@ -220,28 +223,31 @@ int cmd_topk(const Options& options) {
   }
   if (const auto threads = static_cast<std::size_t>(options.integer("threads", 0));
       threads > 0) {
-    // Multi-threaded ingest: one pipelined stripe per thread, each thread
-    // feeding a contiguous slice of the trace; the query runs on a
-    // consistent merged snapshot (all queues drained, all stripes locked).
-    ConcurrentMonitor monitor(params_from(options), threads,
-                              /*queue_capacity=*/1024);
+    // Multi-threaded ingest: each thread takes a contiguous slice of the
+    // trace into its own EpochSketch and seals it; by linearity the merge
+    // of the sealed blobs is the sketch of the whole trace.
+    const DcsParams params = params_from(options);
     const std::span<const FlowUpdate> all(updates);
+    std::vector<std::string> blobs(threads);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     const std::size_t chunk = (all.size() + threads - 1) / threads;
     for (std::size_t t = 0; t < threads; ++t) {
       const std::size_t begin = std::min(t * chunk, all.size());
       const std::size_t end = std::min(begin + chunk, all.size());
-      workers.emplace_back([&monitor, slice = all.subspan(begin, end - begin)] {
+      workers.emplace_back([&params, &blob = blobs[t],
+                            slice = all.subspan(begin, end - begin)] {
+        EpochSketch sketch(params);
         for (const FlowUpdate& u : slice)
-          monitor.update(u.dest, u.source, u.delta);
+          sketch.update(u.dest, u.source, u.delta);
+        blob = sketch.seal();
       });
     }
     for (std::thread& worker : workers) worker.join();
-    const DistinctCountSketch merged = monitor.snapshot();
-    std::printf("# threads=%zu stripes=%zu sketch=%.1f KiB (merged snapshot)\n",
-                threads, monitor.num_stripes(),
-                static_cast<double>(merged.memory_bytes()) / 1024.0);
+    DistinctCountSketch merged(params);
+    for (const std::string& blob : blobs) merged.merge(SketchBlob::parse(blob));
+    std::printf("# threads=%zu sketch=%.1f KiB (merged from sealed blobs)\n",
+                threads, static_cast<double>(merged.memory_bytes()) / 1024.0);
     print_entries(merged.top_k(k).entries);
     metrics.dump();
     return 0;

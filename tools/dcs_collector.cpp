@@ -7,7 +7,7 @@
 //
 //   dcs_collector [--port N] [--bind ADDR] [--port-file FILE] [--sites N]
 //                 [--leaf-id N] [--root HOST:PORT] [--shard-map FILE]
-//                 [--uplink-spool N]
+//                 [--uplink-spool N] [--leaves N]
 //                 [--timeout-ms N] [--k N] [--r N] [--s N] [--seed N]
 //                 [--min-absolute N] [--factor F] [--no-detection]
 //                 [--state-dir DIR] [--checkpoint-every N]
@@ -56,11 +56,20 @@
 // (docs/FEDERATION.md): it owns the shard of sites the --shard-map file
 // assigns to that leaf id (agents homed elsewhere are bounced with
 // kWrongShard plus the current map) and relays every accepted delta to the
-// --root collector (dcs_root) over one uplink connection. The uplink is
-// ack-gated and sits in front of the journal fold — with --state-dir a
-// SIGKILLed leaf replays its journal into the uplink on restart, so the
-// root converges bit-for-bit regardless (the exactly-once argument lives
-// in docs/FEDERATION.md).
+// --root collector over one uplink connection. The uplink is ack-gated and
+// sits in front of the journal fold — with --state-dir a SIGKILLed leaf
+// replays its journal into the uplink on restart, so the root converges
+// bit-for-bit regardless (the exactly-once argument lives in
+// docs/FEDERATION.md).
+//
+// --leaves N makes the collector the federation *root*: it also admits
+// leaf uplinks, keeps the per-(origin site, epoch) gap ledger that makes a
+// drained leaf journal merge exactly once, and exits after N leaves said
+// Bye (it replaces --sites as the quorum). The gap ledger is NOT
+// checkpointed: drain every leaf (dcs_leaf_uplink_spool_depth at zero)
+// before restarting a root, or re-drain the leaves afterwards
+// (docs/RUNBOOK.md). A root still pending gap epochs at exit says so on
+// stderr.
 //
 // Connections are served by the epoll reactor (src/service/reactor.hpp):
 // one small worker pool (--reactor-workers) carries every agent, instead
@@ -95,6 +104,9 @@ void print_usage() {
       "  --bind ADDR           bind address (default 127.0.0.1)\n"
       "  --port-file FILE      atomically publish the bound port to FILE\n"
       "  --sites N             exit after N sites said Bye (default 1)\n"
+      "  --leaves N            run as the federation root: admit leaf\n"
+      "                        uplinks and exit after N leaves said Bye\n"
+      "                        (not with --sites or --leaf-id)\n"
       "  --timeout-ms N        max wait for the Byes (default 30000)\n"
       "  --k N                 detection top-k (default 5)\n"
       "  --r N                 sketch tables (default 3)\n"
@@ -127,8 +139,8 @@ void print_usage() {
       "                        64 MiB cap; default 0)\n"
       "  --leaf-id N           run as federation leaf N (non-zero; requires\n"
       "                        --root; see docs/FEDERATION.md)\n"
-      "  --root HOST:PORT      federation root (dcs_root) the leaf relays\n"
-      "                        every accepted delta to\n"
+      "  --root HOST:PORT      federation root (dcs_collector --leaves) the\n"
+      "                        leaf relays every accepted delta to\n"
       "  --shard-map FILE      shard map (dcs_shardmap gen) assigning sites\n"
       "                        to leaves; mis-homed agents are bounced with\n"
       "                        kWrongShard + this map\n"
@@ -172,6 +184,13 @@ std::string healthz_json(const service::Collector& collector,
          (durability ? "true" : "false") + ",\n";
   field("connected_sites", stats.connected_sites);
   field("deltas_merged", stats.deltas_merged);
+  field("duplicate_deltas", stats.duplicate_deltas);
+  field("dropped_epochs", stats.dropped_epochs);
+  field("relayed_deltas", stats.relayed_deltas);
+  field("gap_fills", stats.gap_fills);
+  field("pending_gap_epochs", stats.pending_gap_epochs);
+  field("gap_overflow_epochs", stats.gap_overflow_epochs);
+  field("wrong_shard_acks", stats.wrong_shard_acks);
   field("frames", stats.frames);
   field("frame_errors", stats.frame_errors);
   field("shed_deltas", stats.shed_deltas);
@@ -253,7 +272,13 @@ int main(int argc, char** argv) {
   config.reactor_workers =
       static_cast<int>(options.integer("reactor-workers", 2));
 
-  const auto sites = static_cast<std::uint64_t>(options.integer("sites", 1));
+  // A root's quorum is its leaves' Byes; a collector or leaf's, its sites'.
+  const auto leaves = static_cast<std::uint64_t>(options.integer("leaves", 0));
+  config.federation_root = leaves > 0;
+  const std::uint64_t quorum =
+      config.federation_root
+          ? leaves
+          : static_cast<std::uint64_t>(options.integer("sites", 1));
   const int timeout_ms = static_cast<int>(options.integer("timeout-ms", 30000));
   const auto crash_after =
       static_cast<std::uint64_t>(options.integer("crash-after-deltas", 0));
@@ -266,6 +291,12 @@ int main(int argc, char** argv) {
     // everything below runs against the shared Collector reference.
     config.leaf_id =
         static_cast<std::uint64_t>(options.integer("leaf-id", 0));
+    if (config.federation_root &&
+        (config.leaf_id != 0 || options.raw("sites"))) {
+      std::fprintf(stderr, "dcs_collector: --leaves runs a root; it takes "
+                           "neither --leaf-id nor --sites\n");
+      return 2;
+    }
     const std::string shard_map_path = options.str("shard-map", "");
     if (!shard_map_path.empty())
       config.shard_map = service::ShardMap::load_file(shard_map_path);
@@ -312,7 +343,10 @@ int main(int argc, char** argv) {
       collector.start();
     std::printf("listening on %s:%u (%d reactor workers%s)\n",
                 config.bind_address.c_str(), collector.port(),
-                config.reactor_workers, leaf ? ", federation leaf" : "");
+                config.reactor_workers,
+                leaf                     ? ", federation leaf"
+                : config.federation_root ? ", federation root"
+                                         : "");
     std::fflush(stdout);
     const std::string port_file = options.str("port-file", "");
     if (!port_file.empty()) publish_port(port_file, collector.port());
@@ -409,7 +443,7 @@ int main(int argc, char** argv) {
         std::raise(SIGKILL);
       });
 
-    const bool all_done = collector.wait_for_byes(sites, timeout_ms);
+    const bool all_done = collector.wait_for_byes(quorum, timeout_ms);
     if (publisher) {
       // One final generation so dashboards see the post-Bye totals.
       publisher->publish_now();
@@ -433,6 +467,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.dropped_epochs),
         static_cast<unsigned long long>(stats.frame_errors),
         static_cast<unsigned long long>(stats.rejected_hellos));
+    std::printf("relayed=%llu gap_fills=%llu pending_gaps=%llu "
+                "gap_overflow=%llu wrong_shard=%llu\n",
+                static_cast<unsigned long long>(stats.relayed_deltas),
+                static_cast<unsigned long long>(stats.gap_fills),
+                static_cast<unsigned long long>(stats.pending_gap_epochs),
+                static_cast<unsigned long long>(stats.gap_overflow_epochs),
+                static_cast<unsigned long long>(stats.wrong_shard_acks));
     std::printf("shed=%llu shed_bytes=%llu deadline_drops=%llu "
                 "idle_reaped=%llu\n",
                 static_cast<unsigned long long>(stats.shed_deltas),
@@ -487,9 +528,15 @@ int main(int argc, char** argv) {
       obs::write_snapshot_file(metrics_out_path, metrics_format,
                                obs::Registry::global().snapshot());
 
+    if (stats.pending_gap_epochs != 0)
+      std::fprintf(stderr,
+                   "dcs_collector: WARNING: %llu pending gap epochs — a leaf "
+                   "journal was not fully drained\n",
+                   static_cast<unsigned long long>(stats.pending_gap_epochs));
     if (!all_done) {
-      std::fprintf(stderr, "dcs_collector: timed out waiting for %llu sites\n",
-                   static_cast<unsigned long long>(sites));
+      std::fprintf(stderr, "dcs_collector: timed out waiting for %llu %s\n",
+                   static_cast<unsigned long long>(quorum),
+                   config.federation_root ? "leaves" : "sites");
       return 1;
     }
     return 0;
