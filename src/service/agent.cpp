@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "service/socket.hpp"
-#include "service/wire.hpp"
 
 namespace dcs::service {
 
@@ -17,8 +15,31 @@ SiteAgent::SiteAgent(SiteAgentConfig config)
     : config_(std::move(config)),
       current_epoch_(config_.first_epoch),
       current_(config_.params),
-      jitter_(config_.jitter_seed),
-      trace_ring_(config_.trace_capacity) {
+      trace_ring_(config_.trace_capacity),
+      sender_({.id = config_.site_id,
+               .host = config_.collector_host,
+               .port = config_.collector_port,
+               .shard_map = config_.shard_map,
+               .backoff_initial_ms = config_.backoff_initial_ms,
+               .backoff_max_ms = config_.backoff_max_ms,
+               .backoff_jitter = config_.backoff_jitter,
+               .heartbeat_interval_ms = config_.heartbeat_interval_ms,
+               .io_timeout_ms = config_.io_timeout_ms,
+               .jitter_seed = config_.jitter_seed},
+              {.hello = [this](const DeltaSender::Spool& spool) {
+                 return hello_locked(spool);
+               },
+               .heartbeat = [this] { return heartbeat_locked(); },
+               .on_send =
+                   [](const SnapshotDeltaView& delta) {
+                     if (obs::recording())
+                       obs::TraceMetrics::get().observe_span(
+                           obs::TraceStage::kShipped, delta.spool_unix_ns,
+                           delta.ship_unix_ns);
+                   },
+               .on_ack = [this](const SnapshotDeltaView& delta) {
+                 trace_shipped(delta);
+               }}) {
   // Eager registration so an agent-side scrape lists every stage family
   // before any epoch is sealed.
   obs::TraceMetrics::get();
@@ -28,47 +49,24 @@ SiteAgent::SiteAgent(SiteAgentConfig config)
     throw std::invalid_argument("SiteAgent: spool_epochs must be > 0");
   if (config_.first_epoch == 0)
     throw std::invalid_argument("SiteAgent: first_epoch must be >= 1");
-  if (config_.backoff_jitter < 0.0 || config_.backoff_jitter > 1.0)
-    throw std::invalid_argument("SiteAgent: backoff_jitter must be in [0,1]");
   stats_.current_epoch = current_epoch_;
-  shard_map_ = config_.shard_map;
-  stats_.map_version = shard_map_.version();
   metrics_source_ = obs::Registry::global().add_source(
       {{"site", std::to_string(config_.site_id)}},
       [this](obs::SampleWriter& out) { export_stats(out); });
 }
 
 SiteAgent::~SiteAgent() {
-  // Abrupt: no Bye, no drain — the collector sees a vanished peer, exactly
-  // like a crashed agent. The churn test relies on this.
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-  if (sender_.joinable()) sender_.join();
+  // Abrupt: the sender's destructor sends no Bye, so the collector sees a
+  // vanished peer, exactly like a crashed agent. The churn test relies on
+  // this.
   stop_sketch(/*drain=*/false);
 }
 
-void SiteAgent::start() {
-  if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  sender_ = std::thread([this] { sender_loop(); });
-}
+void SiteAgent::start() { sender_.start(); }
 
 void SiteAgent::stop(int drain_timeout_ms) {
-  if (running_.load(std::memory_order_acquire)) {
-    flush(drain_timeout_ms);
-    stopping_.store(true, std::memory_order_release);
-    cv_.notify_all();
-    // Give the sender a moment to send Bye, then cut it off.
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, std::chrono::milliseconds(drain_timeout_ms),
-                   [&] { return !running_.load(std::memory_order_acquire); });
-    }
-    running_.store(false, std::memory_order_release);
-    cv_.notify_all();
-    if (sender_.joinable()) sender_.join();
-  }
+  if (sender_.running()) seal_epoch();
+  sender_.stop(drain_timeout_ms);
   stop_sketch(/*drain=*/true);
 }
 
@@ -142,14 +140,13 @@ void SiteAgent::seal_sketch(std::uint64_t epoch) {
     obs::TraceMetrics::get()
         .stage(obs::TraceStage::kSealed)
         .observe(seal_steady_ns - seal_start_ns);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  sender_.update([&](DeltaSender::Spool& spool) {
     // The caller may have dropped the entry meanwhile (a full spool, or a
     // resume watermark that covers it); the seal still reset the sketch.
-    const auto entry =
-        std::find_if(spool_.begin(), spool_.end(),
-                     [&](const SpooledEpoch& e) { return e.epoch == epoch; });
-    if (entry == spool_.end()) return;
+    const auto entry = std::find_if(
+        spool.begin(), spool.end(),
+        [&](const DeltaSender::Entry& e) { return e.epoch == epoch; });
+    if (entry == spool.end()) return false;
     entry->blob = std::move(blob);
     entry->seal_unix_ns = seal_unix_ns;
     entry->seal_steady_ns = seal_steady_ns;
@@ -157,8 +154,8 @@ void SiteAgent::seal_sketch(std::uint64_t epoch) {
     if (obs::recording())
       obs::TraceMetrics::get().observe_span(obs::TraceStage::kSpooled,
                                             seal_unix_ns, entry->spool_unix_ns);
-  }
-  cv_.notify_all();
+    return true;
+  });
 }
 
 void SiteAgent::stop_sketch(bool drain) {
@@ -173,42 +170,77 @@ void SiteAgent::stop_sketch(bool drain) {
 void SiteAgent::seal_epoch() {
   if (current_updates_ == 0) return;
   const std::uint64_t epoch = current_epoch_;
-  SpooledEpoch entry;
+  DeltaSender::Entry entry;
+  entry.site_id = config_.site_id;
   entry.epoch = epoch;
   entry.updates = current_updates_;
   current_updates_ = 0;
   ++current_epoch_;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (spool_.size() >= config_.spool_epochs) {
+  // No wake: the sender has nothing to ship until the sketch thread fills
+  // the entry in.
+  sender_.update([&](DeltaSender::Spool& spool) {
+    if (spool.size() >= config_.spool_epochs) {
       // Collector unreachable for too long: shed the *oldest* epoch — the
       // newest data matters most for detection — and account the loss.
-      spool_.pop_front();
+      spool.pop_front();
       ++stats_.epochs_dropped;
     }
-    spool_.push_back(std::move(entry));
+    spool.push_back(std::move(entry));
     ++stats_.epochs_sealed;
-    stats_.spool_depth = spool_.size();
     stats_.current_epoch = current_epoch_;
-  }
+    return false;
+  });
   // After the push, so the sketch thread finds the entry to fill.
   hand_off(epoch);
 }
 
 bool SiteAgent::flush(int timeout_ms) {
   seal_epoch();
-  std::unique_lock<std::mutex> lock(mutex_);
-  return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return spool_.empty() || stats_.rejected ||
-           !running_.load(std::memory_order_acquire);
-  }) && spool_.empty();
+  return sender_.flush(timeout_ms);
 }
 
 SiteAgent::Stats SiteAgent::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats s = stats_;
+  Stats s;
+  sender_.inspect([&](const DeltaSender::Spool& spool,
+                      const DeltaSender::Stats& link) {
+    s = stats_;
+    static_cast<DeltaSender::Stats&>(s) = link;
+    s.epochs_shipped = link.acked + link.duplicates + link.resume_skips;
+    s.spool_depth = spool.size();
+  });
   s.ingest_stalls = ingest_stalls_.load(std::memory_order_relaxed);
   return s;
+}
+
+Hello SiteAgent::hello_locked(const DeltaSender::Spool& spool) const {
+  Hello hello;
+  hello.role = PeerRole::kSite;
+  hello.params_fingerprint = config_.params.fingerprint();
+  hello.epoch_updates = config_.epoch_updates;
+  hello.first_epoch =
+      spool.empty() ? stats_.current_epoch : spool.front().epoch;
+  hello.dropped_epochs = stats_.epochs_dropped;
+  return hello;
+}
+
+Heartbeat SiteAgent::heartbeat_locked() const {
+  Heartbeat beat;
+  beat.current_epoch = stats_.current_epoch;
+  beat.dropped_epochs = stats_.epochs_dropped;
+  return beat;
+}
+
+void SiteAgent::trace_shipped(const SnapshotDeltaView& delta) {
+  if (!obs::recording()) return;
+  obs::EpochTrace trace;
+  trace.site_id = config_.site_id;
+  trace.epoch = delta.epoch;
+  trace.updates = delta.updates;
+  trace.bytes = delta.sketch_blob.size();
+  trace.stamp(obs::TraceStage::kSealed) = delta.seal_unix_ns;
+  trace.stamp(obs::TraceStage::kSpooled) = delta.spool_unix_ns;
+  trace.stamp(obs::TraceStage::kShipped) = delta.ship_unix_ns;
+  trace_ring_.push(trace);
 }
 
 void SiteAgent::export_stats(obs::SampleWriter& out) const {
@@ -247,307 +279,7 @@ void SiteAgent::export_stats(obs::SampleWriter& out) const {
   out.histogram("dcs_agent_heartbeat_rtt_ns",
                 "Heartbeat send to Ack receipt round-trip time (collectors "
                 "ack heartbeats; a free network-health probe)",
-                heartbeat_rtt_ns_);
-}
-
-std::uint64_t SiteAgent::next_backoff_ms() {
-  backoff_ms_ = backoff_ms_ == 0
-                    ? config_.backoff_initial_ms
-                    : std::min(backoff_ms_ * 2, config_.backoff_max_ms);
-  // Symmetric jitter: delay * (1 ± jitter), so a fleet of agents spreads
-  // its reconnect attempts instead of stampeding in sync.
-  const double spread = 1.0 + config_.backoff_jitter * (2.0 * jitter_.uniform() - 1.0);
-  return static_cast<std::uint64_t>(static_cast<double>(backoff_ms_) * spread);
-}
-
-void SiteAgent::sender_loop() {
-  bool first_attempt = true;
-  while (running_.load(std::memory_order_acquire)) {
-    if (!first_attempt) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.reconnects;
-      }
-      const auto delay = std::chrono::milliseconds(next_backoff_ms());
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, delay,
-                   [&] { return !running_.load(std::memory_order_acquire); });
-      if (!running_.load(std::memory_order_acquire)) break;
-    }
-    first_attempt = false;
-    if (!run_connection()) {
-      // Parameter mismatch: retrying can never succeed.
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.rejected = true;
-      cv_.notify_all();
-      break;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-  }
-  running_.store(false, std::memory_order_release);
-  cv_.notify_all();
-}
-
-void SiteAgent::pick_target(std::string& host, std::uint16_t& port) {
-  host = config_.collector_host;
-  port = config_.collector_port;
-  if (shard_map_.empty()) return;
-  if (connect_failures_ >= kSeedFallbackAfter) return;  // seed fallback
-  const LeafEndpoint leaf = shard_map_.endpoint_for(config_.site_id);
-  host = leaf.host;
-  port = leaf.port;
-}
-
-bool SiteAgent::adopt_map(const Ack& ack) {
-  if (ack.map_blob.empty() || ack.map_version <= shard_map_.version())
-    return false;
-  ShardMap updated;
-  try {
-    updated = ShardMap::decode(ack.map_blob);
-  } catch (const SerializeError&) {
-    return false;  // corrupt push — keep the map we have
-  }
-  const bool had_map = !shard_map_.empty();
-  const LeafEndpoint before =
-      had_map ? shard_map_.endpoint_for(config_.site_id) : LeafEndpoint{};
-  shard_map_ = updated;
-  const LeafEndpoint after = shard_map_.endpoint_for(config_.site_id);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.map_version = shard_map_.version();
-  }
-  return !had_map || !(before == after);
-}
-
-bool SiteAgent::run_connection() {
-  std::string target_host;
-  std::uint16_t target_port = 0;
-  pick_target(target_host, target_port);
-  auto socket = tcp_connect(target_host, target_port, config_.io_timeout_ms);
-  if (!socket) {
-    ++connect_failures_;  // enough of these and pick_target tries the seed
-    return true;          // unreachable — back off and retry
-  }
-  socket->set_timeouts(static_cast<std::uint64_t>(config_.io_timeout_ms),
-                       static_cast<std::uint64_t>(config_.io_timeout_ms));
-
-  FrameDecoder decoder;
-  char buffer[16 * 1024];
-  const auto io_error = [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.io_errors;
-    stats_.connected = false;
-    return true;  // transient — retry with backoff
-  };
-
-  /// Block until one Ack arrives (or timeout/error). nullopt = connection
-  /// is dead.
-  const auto await_ack = [&]() -> std::optional<Ack> {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(config_.io_timeout_ms);
-    for (;;) {
-      if (auto frame = decoder.next()) {
-        if (frame->type != MsgType::kAck)
-          throw WireError("agent: expected Ack");
-        return Ack::decode(frame->payload);
-      }
-      if (!running_.load(std::memory_order_acquire) ||
-          std::chrono::steady_clock::now() >= deadline)
-        return std::nullopt;
-      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
-      if (got.closed || got.error) return std::nullopt;
-      if (got.bytes > 0) decoder.feed(buffer, got.bytes);
-    }
-  };
-
-  try {
-    Hello hello;
-    hello.site_id = config_.site_id;
-    hello.role = PeerRole::kSite;
-    hello.params_fingerprint = config_.params.fingerprint();
-    hello.epoch_updates = config_.epoch_updates;
-    hello.map_version = shard_map_.version();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      hello.first_epoch =
-          spool_.empty() ? stats_.current_epoch : spool_.front().epoch;
-      hello.dropped_epochs = stats_.epochs_dropped;
-    }
-    if (!socket->send_all(encode_frame(MsgType::kHello, hello.encode())))
-      return io_error();
-    const auto hello_ack = await_ack();
-    if (!hello_ack) return io_error();
-    if (hello_ack->status == AckStatus::kRejected) return false;
-    if (hello_ack->status == AckStatus::kWrongShard) {
-      // This leaf no longer (or never did) own our shard. Its ack carries
-      // the authoritative map: adopt it, drop this connection, and go
-      // straight to the right leaf. The spool rides along untouched.
-      adopt_map(*hello_ack);
-      connect_failures_ = 0;
-      backoff_ms_ = 0;  // re-home fast — this is redirection, not failure
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.rehomes;
-      }
-      return true;
-    }
-    connect_failures_ = 0;
-    // A sharded leaf piggybacks the current map on every Hello ack when
-    // ours is stale; a moved shard re-homes us on the next reconnect.
-    adopt_map(*hello_ack);
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.connected = true;
-      // The Hello ack carries the collector's resume watermark: everything
-      // at or below it is already durably merged (the collector restarted
-      // from its checkpoint after our ack was lost with the connection).
-      // Prune instead of re-shipping — the bytes would only come back
-      // kDuplicate.
-      while (!spool_.empty() && spool_.front().epoch <= hello_ack->epoch) {
-        spool_.pop_front();
-        ++stats_.epochs_shipped;
-        ++stats_.resume_skips;
-      }
-      stats_.spool_depth = spool_.size();
-    }
-    cv_.notify_all();
-    backoff_ms_ = 0;  // healthy connection resets the backoff schedule
-
-    while (running_.load(std::memory_order_acquire)) {
-      // Peek (don't pop) the oldest spooled epoch: it stays queued until
-      // the collector acks it, so a drop mid-flight retransmits. The copy
-      // shares the immutable blob, so no bytes move under the lock.
-      std::optional<SpooledEpoch> head;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        // Epochs seal in order, so a head still sealing has nothing
-        // shippable behind it.
-        const auto head_sealed = [&] {
-          return !spool_.empty() && spool_.front().blob != nullptr;
-        };
-        if (!head_sealed()) {
-          if (spool_.empty() && stopping_.load(std::memory_order_acquire))
-            break;
-          const bool woke = cv_.wait_for(
-              lock, std::chrono::milliseconds(config_.heartbeat_interval_ms),
-              [&] {
-                return head_sealed() ||
-                       !running_.load(std::memory_order_acquire) ||
-                       (spool_.empty() &&
-                        stopping_.load(std::memory_order_acquire));
-              });
-          if (!woke) {
-            // Idle: snapshot the fields under the lock, send outside it.
-            Heartbeat beat;
-            beat.site_id = config_.site_id;
-            beat.current_epoch = stats_.current_epoch;
-            beat.spooled_epochs = 0;
-            beat.dropped_epochs = stats_.epochs_dropped;
-            lock.unlock();
-            const std::uint64_t sent_ns = obs::steady_now_ns();
-            if (!socket->send_all(
-                    encode_frame(MsgType::kHeartbeat, beat.encode())))
-              return io_error();
-            // The collector acks heartbeats (epoch 0), turning frames we
-            // already exchange into a free network-RTT probe.
-            const auto beat_ack = await_ack();
-            if (!beat_ack) return io_error();
-            if (beat_ack->epoch != 0)
-              throw WireError("agent: heartbeat ack carries an epoch");
-            heartbeat_rtt_ns_.observe(obs::steady_now_ns() - sent_ns);
-          }
-          continue;
-        }
-        head = spool_.front();
-      }
-
-      SnapshotDeltaView delta;
-      delta.site_id = config_.site_id;
-      delta.epoch = head->epoch;
-      delta.updates = head->updates;
-      delta.seal_unix_ns = head->seal_unix_ns;
-      delta.seal_steady_ns = head->seal_steady_ns;
-      delta.spool_unix_ns = head->spool_unix_ns;
-      delta.ship_unix_ns = obs::unix_now_ns();  // fresh per send attempt
-      delta.sketch_blob = *head->blob;
-      if (obs::recording())
-        obs::TraceMetrics::get().observe_span(obs::TraceStage::kShipped,
-                                              delta.spool_unix_ns,
-                                              delta.ship_unix_ns);
-      if (!socket->send_all(delta.encode_frame()))
-        return io_error();
-      const auto ack = await_ack();
-      if (!ack) return io_error();
-      if (ack->status == AckStatus::kRejected) return false;
-      if (ack->epoch != head->epoch)
-        throw WireError("agent: ack for unexpected epoch");
-      if (ack->status == AckStatus::kWrongShard) {
-        // A reshard moved our shard away mid-connection. The delta stays
-        // spooled (NOT popped); adopt the pushed map and reconnect to the
-        // new owner, which re-ships it there.
-        adopt_map(*ack);
-        connect_failures_ = 0;
-        backoff_ms_ = 0;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.rehomes;
-          stats_.connected = false;
-        }
-        return true;
-      }
-      if (ack->status == AckStatus::kRetryLater) {
-        // The collector shed this delta under overload. Honor the
-        // retry_after contract: keep the epoch at the head of the spool
-        // (nothing is lost) and wait before re-shipping. The hint is
-        // clamped so a byzantine collector can neither make us spin
-        // (floor 1 ms) nor wedge us forever (ceiling backoff_max_ms),
-        // and the wait wakes immediately on stop().
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.nacks;
-        }
-        const std::uint64_t wait_ms = std::min<std::uint64_t>(
-            std::max<std::uint32_t>(ack->retry_after_ms, 1),
-            config_.backoff_max_ms);
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                     [&] { return !running_.load(std::memory_order_acquire); });
-        continue;
-      }
-      if (obs::recording()) {
-        obs::EpochTrace trace;
-        trace.site_id = config_.site_id;
-        trace.epoch = delta.epoch;
-        trace.updates = delta.updates;
-        trace.bytes = delta.sketch_blob.size();
-        trace.stamp(obs::TraceStage::kSealed) = delta.seal_unix_ns;
-        trace.stamp(obs::TraceStage::kSpooled) = delta.spool_unix_ns;
-        trace.stamp(obs::TraceStage::kShipped) = delta.ship_unix_ns;
-        trace_ring_.push(trace);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!spool_.empty() && spool_.front().epoch == head->epoch)
-          spool_.pop_front();
-        ++stats_.epochs_shipped;
-        stats_.spool_depth = spool_.size();
-      }
-      cv_.notify_all();
-    }
-
-    if (stopping_.load(std::memory_order_acquire)) {
-      Bye bye;
-      bye.site_id = config_.site_id;
-      socket->send_all(encode_frame(MsgType::kBye, bye.encode()));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.connected = false;
-    return true;
-  } catch (const WireError&) {
-    // Garbage from the collector side: drop the connection and retry.
-    return io_error();
-  }
+                sender_.heartbeat_rtt());
 }
 
 }  // namespace dcs::service

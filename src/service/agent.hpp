@@ -19,11 +19,12 @@
 //    in that epoch's spool entry, or discards the blob if the entry was
 //    dropped meanwhile. stop() lets it finish every queued block; the
 //    destructor discards what is queued.
-//  * The sender thread, started by start(), ships spooled deltas to the
-//    collector in order, waiting while the head entry is still sealing,
-//    and only pops one after the collector's Ack, so a connection drop
-//    mid-flight retransmits, and the collector's epoch dedup makes the
-//    retransmit harmless.
+//  * The sender thread, started by start(), is the shared DeltaSender
+//    (service/sender.hpp): it ships spooled deltas to the collector in
+//    order, waiting while the head entry is still sealing, and only pops
+//    one after the collector's Ack, so a connection drop mid-flight
+//    retransmits, and the collector's epoch dedup makes the retransmit
+//    harmless.
 //
 // Collector outages: the agent keeps ingesting and sealing; the spool
 // absorbs up to `spool_epochs` deltas, after which the *oldest* is dropped
@@ -39,22 +40,19 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
-#include "common/random.hpp"
 #include "obs/trace.hpp"
 #include "service/federation/shard_map.hpp"
+#include "service/sender.hpp"
 #include "sketch/epoch_sketch.hpp"
 #include "stream/flow_update.hpp"
 
 namespace dcs::service {
-
-struct Ack;  // wire.hpp
 
 struct SiteAgentConfig {
   std::uint64_t site_id = 1;
@@ -95,35 +93,18 @@ struct SiteAgentConfig {
 
 class SiteAgent {
  public:
-  struct Stats {
+  /// The sender's shared counters (acks, NACKs, reconnects, re-homes,
+  /// connection state) plus the agent's own.
+  struct Stats : DeltaSender::Stats {
     std::uint64_t epochs_sealed = 0;    ///< Epochs closed and spooled.
     std::uint64_t epochs_shipped = 0;   ///< Acked (kOk or kDuplicate) or
                                         ///< skipped via resume watermark.
     std::uint64_t epochs_dropped = 0;   ///< Evicted from a full spool.
-    /// Spooled epochs dropped without re-shipping because the collector's
-    /// Hello-ack watermark showed them already durably merged (collector
-    /// restarted from its checkpoint). Subset of epochs_shipped.
-    std::uint64_t resume_skips = 0;
-    /// kRetryLater NACKs received from the collector's admission control.
-    /// Each one kept its epoch spooled and delayed the next ship attempt by
-    /// the collector's retry_after_ms hint — overload costs latency here,
-    /// never data.
-    std::uint64_t nacks = 0;
-    std::uint64_t reconnects = 0;       ///< Connection attempts after the 1st.
-    std::uint64_t io_errors = 0;
-    /// Times the agent switched leaves after learning a newer shard map
-    /// (kWrongShard ack, or a map push that moved our shard).
-    std::uint64_t rehomes = 0;
     /// Times ingest waited because kHandoffDepth blocks were already
     /// queued for the sketch thread.
     std::uint64_t ingest_stalls = 0;
-    /// Version of the newest shard map adopted (0 = none / unsharded).
-    std::uint32_t map_version = 0;
     std::size_t spool_depth = 0;
     std::uint64_t current_epoch = 0;    ///< Epoch now accumulating.
-    bool connected = false;
-    /// Collector rejected our Hello (parameter mismatch) — permanent.
-    bool rejected = false;
   };
 
   explicit SiteAgent(SiteAgentConfig config);
@@ -177,20 +158,6 @@ class SiteAgent {
   std::vector<obs::EpochTrace> traces() const { return trace_ring_.snapshot(); }
 
  private:
-  struct SpooledEpoch {
-    std::uint64_t epoch = 0;
-    std::uint64_t updates = 0;
-    // Origin stamps carried on the wire so the collector can compute
-    // end-to-end freshness for this epoch.
-    std::uint64_t seal_unix_ns = 0;
-    std::uint64_t seal_steady_ns = 0;
-    std::uint64_t spool_unix_ns = 0;
-    /// Serialized sketch delta, shared and never mutated: peeking the
-    /// spool head copies a pointer, not the blob. Null while the sketch
-    /// thread is still sealing the epoch (the stamps above are unset too).
-    std::shared_ptr<const std::string> blob;
-  };
-
   /// Updates per handoff block, and blocks in flight to the sketch thread
   /// before ingest waits.
   static constexpr std::size_t kHandoffUpdates = 4096;
@@ -222,17 +189,11 @@ class SiteAgent {
   /// or once it finishes the block in hand (discard).
   void stop_sketch(bool drain);
 
-  void sender_loop();
-  /// One connection lifetime: connect, Hello, ship/heartbeat until error or
-  /// shutdown. Returns false if the collector rejected us (permanent).
-  bool run_connection();
-  std::uint64_t next_backoff_ms();
-  /// Where the next connection goes: the mapped leaf, or the seed endpoint
-  /// when unsharded / falling back after repeated connect failures.
-  void pick_target(std::string& host, std::uint16_t& port);
-  /// Adopt the map carried in `ack` if it is strictly newer than ours.
-  /// Returns true when adoption moved our shard to a different endpoint.
-  bool adopt_map(const Ack& ack);
+  /// What the sender says for this agent, read under the spool lock.
+  Hello hello_locked(const DeltaSender::Spool& spool) const;
+  Heartbeat heartbeat_locked() const;
+  /// The sender's on_ack hook: keep the epoch's agent-side trace.
+  void trace_shipped(const SnapshotDeltaView& delta);
   /// The scrape-time source: stats() and the heartbeat RTT histogram as
   /// series labelled by site id.
   void export_stats(obs::SampleWriter& out) const;
@@ -261,30 +222,13 @@ class SiteAgent {
   EpochSketch current_;
   std::thread sketch_;
 
-  std::thread sender_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};  ///< Graceful stop requested.
-
-  mutable std::mutex mutex_;           ///< Guards spool_ and stats_.
-  std::condition_variable cv_;
-  std::deque<SpooledEpoch> spool_;
+  /// The agent's own Stats fields (sealed, dropped, current epoch),
+  /// guarded by the sender's spool lock; stats() adds the shared counters.
   Stats stats_;
 
-  Xoshiro256 jitter_;
-  std::uint64_t backoff_ms_ = 0;
-
-  // Federation state — touched only by the sender thread (stats_.map_version
-  // mirrors the adopted version for stats() readers).
-  ShardMap shard_map_;
-  /// Consecutive failed connects to the *mapped* leaf; at
-  /// kSeedFallbackAfter the agent tries the seed endpoint instead, which
-  /// re-bootstraps the map via kWrongShard if the shard moved.
-  static constexpr std::uint32_t kSeedFallbackAfter = 2;
-  std::uint32_t connect_failures_ = 0;
-
   obs::TraceRing trace_ring_;
-  /// Exported by export_stats (gated on obs::recording()).
-  obs::Histogram heartbeat_rtt_ns_;
+  /// After every member its hooks read, so its thread is joined first.
+  DeltaSender sender_;
   /// Declared last so a scrape in progress finishes before any member it
   /// reads is destroyed.
   obs::SourceHandle metrics_source_;

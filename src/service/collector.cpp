@@ -344,9 +344,7 @@ std::string Collector::handle_delta(PeerState& peer,
   // cannot take the delta, shed honestly — the agent keeps it spooled and
   // re-ships, so backpressure propagates to the edge instead of dropping
   // relays (the root would see a permanent gap).
-  if (config_.delta_tap &&
-      !config_.delta_tap(delta.site_id, delta.epoch, delta.updates,
-                         delta.sketch_blob, /*replay=*/false)) {
+  if (config_.delta_tap && !config_.delta_tap(delta, /*replay=*/false)) {
     ack.status = AckStatus::kRetryLater;
     ack.retry_after_ms = config_.tap_retry_after_ms;
     ++totals_.tap_shed_deltas;
@@ -603,10 +601,16 @@ void Collector::recover() {
       // replay re-forwards — the leaf-kill recovery path (the checkpoint
       // gate guarantees the journal still holds everything un-acked).
       // replay=true makes the spool accept past its soft bound: shedding a
-      // replayed record would turn recovery into loss.
-      if (config_.delta_tap)
-        config_.delta_tap(record.site_id, record.epoch, record.updates,
-                          record.sketch_blob, /*replay=*/true);
+      // replayed record would turn recovery into loss. The journal keeps no
+      // origin stamps, so a replayed relay carries none.
+      if (config_.delta_tap) {
+        SnapshotDeltaView replayed;
+        replayed.site_id = record.site_id;
+        replayed.epoch = record.epoch;
+        replayed.updates = record.updates;
+        replayed.sketch_blob = record.sketch_blob;
+        config_.delta_tap(replayed, /*replay=*/true);
+      }
       ++totals_.replayed_epochs;
       restored = true;
     }

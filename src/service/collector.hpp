@@ -148,14 +148,12 @@ struct CollectorConfig {
   /// each must merge exactly once regardless of arrival order.
   bool federation_root = false;
   /// Leaf uplink tap: called under the state lock with every accepted
-  /// delta *before* it is journaled/merged (and with replay=true for each
-  /// journal record re-merged during recovery). Returning false sheds the
-  /// delta with an honest kRetryLater NACK — uplink backpressure
-  /// propagates to the agent's spool instead of dropping relays.
-  std::function<bool(std::uint64_t site_id, std::uint64_t epoch,
-                     std::uint64_t updates, std::string_view sketch_blob,
-                     bool replay)>
-      delta_tap;
+  /// delta, origin stamps included, *before* it is journaled/merged (and
+  /// with replay=true and no stamps for each journal record re-merged
+  /// during recovery). Returning false sheds the delta with an honest
+  /// kRetryLater NACK — uplink backpressure propagates to the agent's
+  /// spool instead of dropping relays.
+  std::function<bool(const SnapshotDeltaView& delta, bool replay)> delta_tap;
   /// retry_after_ms hint on a tap shed (uplink spool full).
   std::uint32_t tap_retry_after_ms = 50;
   /// Checkpoint gate: when set and returning false, checkpoint rotation is

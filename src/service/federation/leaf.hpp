@@ -27,18 +27,11 @@
 //     already merged and gap-fills what it never saw.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <thread>
 
-#include "common/random.hpp"
 #include "service/collector.hpp"
+#include "service/sender.hpp"
 
 namespace dcs::service {
 
@@ -56,94 +49,56 @@ struct LeafUplinkConfig {
   /// bypass the bound — shedding a journal replay would turn recovery into
   /// loss.
   std::size_t spool_deltas = 4096;
-  std::uint64_t backoff_initial_ms = 50;
-  std::uint64_t backoff_max_ms = 2000;
-  double backoff_jitter = 0.2;
   std::uint64_t heartbeat_interval_ms = 500;
-  int io_timeout_ms = 2000;
-  std::uint64_t jitter_seed = 0x1eafULL;
 };
 
-/// The leaf's sender half: an ack-gated FIFO of relayed deltas shipped to
-/// the root over one role=kLeaf connection. Mirrors SiteAgent's spool
-/// discipline (pop only on ack, reconnect with jittered backoff, Bye on
-/// graceful stop) but carries *other* sites' deltas, preserving each origin
-/// site id and epoch so the root can dedup per (site, epoch).
+/// The leaf's sender half: a DeltaSender (service/sender.hpp) that ships
+/// relayed deltas to the root over one role=kLeaf connection. Each entry
+/// keeps its origin site id, epoch and origin seal/spool stamps, so the
+/// root dedups per (site, epoch) and measures freshness for relayed epochs
+/// too. Backoff uses the sender's defaults, jittered per leaf id.
+/// Destruction is abrupt: no Bye, no drain; spooled relays die with the
+/// process image, and crash recovery re-creates them from the leaf journal.
 class LeafUplink {
  public:
-  struct Stats {
-    std::uint64_t relayed = 0;          ///< Deltas enqueued for relay.
-    std::uint64_t root_acks = 0;        ///< kOk acks from the root.
-    std::uint64_t root_duplicates = 0;  ///< kDuplicate acks (re-forwarded
-                                        ///< records the root already had).
-    std::uint64_t nacks = 0;            ///< kRetryLater from the root.
-    std::uint64_t reconnects = 0;
-    std::uint64_t io_errors = 0;
+  /// The sender's shared counters: acked and duplicates are the root's
+  /// kOk and kDuplicate acks of relays.
+  struct Stats : DeltaSender::Stats {
+    std::uint64_t relayed = 0;  ///< Deltas enqueued for relay.
     std::size_t spool_depth = 0;
-    bool connected = false;
-    /// Root rejected our Hello (parameter mismatch) — permanent.
-    bool rejected = false;
   };
 
   explicit LeafUplink(LeafUplinkConfig config);
-  /// Abrupt teardown: no Bye, no drain; spooled relays die with the
-  /// process image. Crash recovery re-creates them from the leaf journal.
-  ~LeafUplink();
 
-  LeafUplink(const LeafUplink&) = delete;
-  LeafUplink& operator=(const LeafUplink&) = delete;
-
-  void start();
+  void start() { sender_.start(); }
   /// Graceful: drain the spool (bounded by drain_timeout_ms), Bye, join.
-  void stop(int drain_timeout_ms = 2000);
+  void stop(int drain_timeout_ms = 2000) { sender_.stop(drain_timeout_ms); }
 
-  /// Enqueue one delta for relay. Returns false — without enqueueing —
-  /// when the spool is at capacity and `force` is false; the caller (the
-  /// collector's delta tap) turns that into a kRetryLater NACK upstream and
-  /// counts it (Collector::Stats::tap_shed_deltas).
-  /// `force` is for recovery replay, which must never shed. The blob is
-  /// copied once, into the spool.
-  bool offer(std::uint64_t site_id, std::uint64_t epoch, std::uint64_t updates,
-             std::string_view sketch_blob, bool force);
+  /// Enqueue one delta for relay, with its origin site id, epoch and
+  /// seal/spool stamps (ship_unix_ns is stamped per send). Returns false —
+  /// without enqueueing — when the spool is at capacity and `force` is
+  /// false; the caller (the collector's delta tap) turns that into a
+  /// kRetryLater NACK upstream and counts it
+  /// (Collector::Stats::tap_shed_deltas). `force` is for recovery replay,
+  /// which must never shed. The blob is copied once, into the spool.
+  bool offer(const SnapshotDeltaView& delta, bool force);
 
   /// Block until the spool drains (every relay root-acked) or timeout.
-  bool flush(int timeout_ms);
+  bool flush(int timeout_ms) { return sender_.flush(timeout_ms); }
   /// True when nothing is spooled awaiting a root ack — the leaf
   /// collector's checkpoint gate (safe to fold the journal away).
-  bool drained() const;
+  bool drained() const { return sender_.drained(); }
 
   Stats stats() const;
   const LeafUplinkConfig& config() const noexcept { return config_; }
 
  private:
-  struct Relayed {
-    std::uint64_t site_id = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t updates = 0;
-    /// Shared and never mutated, like SiteAgent's spool: peeking the head
-    /// copies a pointer, not the blob.
-    std::shared_ptr<const std::string> blob;
-  };
-
-  void sender_loop();
-  bool run_connection();
-  std::uint64_t next_backoff_ms();
   /// The scrape-time source: stats() as series labelled by leaf id.
   void export_stats(obs::SampleWriter& out) const;
 
-  LeafUplinkConfig config_;
-
-  std::thread sender_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  mutable std::mutex mutex_;  ///< Guards spool_ and stats_.
-  mutable std::condition_variable cv_;
-  std::deque<Relayed> spool_;
-  Stats stats_;
-
-  Xoshiro256 jitter_;
-  std::uint64_t backoff_ms_ = 0;
+  const LeafUplinkConfig config_;
+  std::uint64_t relayed_ = 0;  ///< Guarded by the sender's spool lock.
+  DeltaSender sender_;
 
   /// Declared last so a scrape in progress finishes before any member it
   /// reads is destroyed.
@@ -159,7 +114,6 @@ struct LeafCollectorConfig {
   std::uint16_t root_port = 0;
   /// Uplink spool bound (see LeafUplinkConfig::spool_deltas).
   std::size_t uplink_spool = 4096;
-  std::uint64_t uplink_io_timeout_ms = 2000;
   std::uint64_t uplink_heartbeat_interval_ms = 500;
 };
 

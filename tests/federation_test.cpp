@@ -515,6 +515,17 @@ TEST(FederationRoot, ShardedLeafBouncesForeignSitesWithTheMap) {
 
 // --- leaf uplink -------------------------------------------------------------
 
+/// A one-update delta for `site`'s `epoch`, as the delta tap hands it over.
+SnapshotDeltaView relay(std::uint64_t site, std::uint64_t epoch,
+                        std::string_view blob) {
+  SnapshotDeltaView delta;
+  delta.site_id = site;
+  delta.epoch = epoch;
+  delta.updates = 1;
+  delta.sketch_blob = blob;
+  return delta;
+}
+
 /// Each uplink exports its own spool depth, labelled by leaf id; two leaves
 /// in one process no longer overwrite one process-wide gauge.
 TEST(FederationLeaf, TwoLeavesExportTwoSpoolDepths) {
@@ -526,9 +537,9 @@ TEST(FederationLeaf, TwoLeavesExportTwoSpoolDepths) {
     config.params = small_params();
     uplinks.push_back(std::make_unique<LeafUplink>(config));
   }
-  ASSERT_TRUE(uplinks[0]->offer(7, 1, 1, "a", false));
+  ASSERT_TRUE(uplinks[0]->offer(relay(7, 1, "a"), false));
   for (std::uint64_t epoch = 1; epoch <= 3; ++epoch)
-    ASSERT_TRUE(uplinks[1]->offer(8, epoch, 1, "b", false));
+    ASSERT_TRUE(uplinks[1]->offer(relay(8, epoch, "b"), false));
 
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
   EXPECT_EQ(test::series_count(snapshot.gauges, "dcs_leaf_uplink_spool_depth"),
@@ -603,6 +614,73 @@ TEST(FederationLeaf, FullUplinkSpoolShedsTheAgentDeltaOnce) {
             1u);
   leaf.stop();
   root.stop();
+}
+
+/// A hand-driven root for one uplink connection: reads the uplink's frames
+/// and answers them, so a test controls every ack.
+struct FakeRoot {
+  std::optional<TcpListener> listener = TcpListener::listen("127.0.0.1", 0);
+  std::optional<TcpSocket> socket;
+  FrameDecoder decoder;
+  char buffer[4096];
+
+  Frame read() {
+    for (;;) {
+      if (auto frame = decoder.next())
+        return Frame{frame->type, frame->version, std::string(frame->payload)};
+      const RecvResult got = socket->recv_some(buffer, sizeof buffer);
+      if (got.closed || got.error) return Frame{MsgType::kBye, 0, {}};
+      decoder.feed(buffer, got.bytes);
+    }
+  }
+  void ack(const Ack& ack) {
+    socket->send_all(encode_frame(MsgType::kAck, ack.encode()));
+  }
+};
+
+/// The two hazards of a sender shared with site agents, pinned at the
+/// uplink: its Hello announces first_epoch 1 whatever origin epochs are
+/// spooled (else the root books a gap against the leaf id), and a Hello-ack
+/// watermark above every spooled epoch prunes no relay (it is the leaf
+/// id's watermark, not an origin site's).
+TEST(FederationLeaf, UplinkHelloIgnoresSpooledOriginEpochs) {
+  FakeRoot root;
+  ASSERT_TRUE(root.listener.has_value());
+  LeafUplinkConfig config;
+  config.leaf_id = 1001;
+  config.root_port = root.listener->port();
+  config.params = small_params();
+  LeafUplink uplink(config);
+  ASSERT_TRUE(uplink.offer(relay(7, 5, "a"), false));
+  ASSERT_TRUE(uplink.offer(relay(8, 3, "b"), false));
+  uplink.start();
+
+  root.socket = root.listener->accept(5000);
+  ASSERT_TRUE(root.socket.has_value());
+  root.socket->set_timeouts(5000, 5000);
+  const Frame hello_frame = root.read();
+  ASSERT_EQ(hello_frame.type, MsgType::kHello);
+  const Hello hello = Hello::decode(hello_frame.payload);
+  EXPECT_EQ(hello.site_id, 1001u);
+  EXPECT_EQ(hello.role, PeerRole::kLeaf);
+  EXPECT_EQ(hello.first_epoch, 1u);
+  Ack hello_ack;
+  hello_ack.epoch = 100;  // above every spooled origin epoch
+  root.ack(hello_ack);
+
+  for (const auto& [site, epoch] : {std::pair{7u, 5u}, std::pair{8u, 3u}}) {
+    const Frame frame = root.read();
+    ASSERT_EQ(frame.type, MsgType::kSnapshotDelta);
+    const SnapshotDelta delta = SnapshotDelta::decode(frame.payload);
+    EXPECT_EQ(delta.site_id, site);
+    EXPECT_EQ(delta.epoch, epoch);
+    Ack ack;
+    ack.epoch = delta.epoch;
+    root.ack(ack);
+  }
+  ASSERT_TRUE(uplink.flush(5000));
+  EXPECT_EQ(uplink.stats().acked, 2u);
+  uplink.stop();
 }
 
 // --- two-tier relay differential --------------------------------------------
@@ -687,6 +765,195 @@ TEST(FederationRelay, MultiLeafRootEqualsSingleCollectorBitForBit) {
     EXPECT_EQ(topk.entries[i].group, ref_topk.entries[i].group);
     EXPECT_EQ(topk.entries[i].estimate, ref_topk.entries[i].estimate);
   }
+}
+
+// --- relay stamps, root shedding and root restarts ---------------------------
+
+CollectorConfig root_config_for(const DcsParams& params) {
+  CollectorConfig config;
+  config.params = params;
+  config.federation_root = true;
+  config.run_detection = false;
+  config.io_timeout_ms = 25;
+  return config;
+}
+
+LeafCollectorConfig leaf_config_for(const DcsParams& params,
+                                    std::uint16_t root_port) {
+  LeafCollectorConfig config;
+  config.collector.params = params;
+  config.collector.io_timeout_ms = 25;
+  config.collector.run_detection = false;
+  config.collector.leaf_id = 1001;
+  config.root_port = root_port;
+  return config;
+}
+
+SiteAgentConfig relay_agent_config(const DcsParams& params, std::uint64_t site,
+                                   std::uint16_t leaf_port) {
+  SiteAgentConfig config;
+  config.site_id = site;
+  config.collector_port = leaf_port;
+  config.params = params;
+  config.epoch_updates = 50;
+  config.jitter_seed = site;
+  return config;
+}
+
+const Collector::SiteStats* find_site(
+    const std::vector<Collector::SiteStats>& sites, std::uint64_t site_id) {
+  for (const auto& site : sites)
+    if (site.site_id == site_id) return &site;
+  return nullptr;
+}
+
+/// The relay carries each delta's origin seal and spool stamps, so the
+/// root measures seal-to-verdict freshness for relayed epochs too.
+TEST(FederationRelay, RootFreshnessCoversRelayedEpochs) {
+  obs::set_enabled(true);  // the agent keeps traces only while recording
+  const DcsParams params = small_params();
+  Collector root(root_config_for(params));
+  root.start();
+  LeafCollector leaf(leaf_config_for(params, root.port()));
+  leaf.start();
+  SiteAgent agent(relay_agent_config(params, 3, leaf.collector().port()));
+  agent.start();
+  for (std::uint64_t i = 0; i < 150; ++i)
+    agent.ingest(static_cast<Addr>(i % 7), static_cast<Addr>(1000 + i), +1);
+  ASSERT_TRUE(agent.flush(15000));
+  agent.stop();
+  leaf.stop(15000);
+  const std::uint64_t sealed = agent.stats().epochs_sealed;
+  ASSERT_TRUE(root.wait_for_deltas(sealed, 15000));
+  const auto sites = root.site_stats();
+  root.stop();
+
+  const auto traces = agent.traces();
+  ASSERT_EQ(traces.size(), sealed);
+  const auto* site = find_site(sites, 3);
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->last_epoch, traces.back().epoch);
+  EXPECT_EQ(site->last_seal_unix_ns,
+            traces.back().stamp(obs::TraceStage::kSealed));
+  EXPECT_GT(site->last_freshness_ns, 0u);
+}
+
+/// A root whose admission budget sheds the leaf's relays NACKs the uplink
+/// kRetryLater; the uplink keeps each relay spooled and re-ships it, so
+/// every sealed epoch still merges exactly once and the root sketch equals
+/// a single sketch fed every update.
+TEST(FederationRelay, RootShedRelaysAreReshippedAndMergeOnce) {
+  const DcsParams params = small_params();
+  CollectorConfig root_config = root_config_for(params);
+  // Admission is keyed by the connection's Hello id: the leaf's relays all
+  // draw from one bucket.
+  root_config.admission.site_rate_per_sec = 50;
+  root_config.admission.site_burst = 1;
+  Collector root(root_config);
+  root.start();
+  LeafCollector leaf(leaf_config_for(params, root.port()));
+  leaf.start();
+
+  DistinctCountSketch reference(params);
+  std::vector<std::unique_ptr<SiteAgent>> agents;
+  for (std::uint64_t site = 1; site <= 3; ++site) {
+    agents.push_back(std::make_unique<SiteAgent>(
+        relay_agent_config(params, site, leaf.collector().port())));
+    agents.back()->start();
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      const Addr dest = static_cast<Addr>(site * 11 + i % 5);
+      const Addr source = static_cast<Addr>(site * 100000 + i);
+      agents.back()->ingest(dest, source, +1);
+      reference.update(dest, source, +1);
+    }
+  }
+  std::uint64_t sealed = 0;
+  for (auto& agent : agents) {
+    ASSERT_TRUE(agent->flush(15000));
+    agent->stop();
+    sealed += agent->stats().epochs_sealed;
+  }
+  leaf.stop(15000);
+  ASSERT_TRUE(root.wait_for_deltas(sealed, 15000));
+  const auto stats = root.stats();
+  const auto sites = root.site_stats();
+  const std::string merged = serialize_sketch(root.merged_sketch());
+  root.stop();
+
+  EXPECT_GT(leaf.uplink().stats().nacks, 0u);
+  EXPECT_GT(stats.shed_deltas, 0u);
+  EXPECT_EQ(stats.deltas_merged, sealed);
+  EXPECT_EQ(stats.dropped_epochs, 0u);
+  EXPECT_EQ(stats.pending_gap_epochs, 0u);
+  for (const auto& agent : agents) {
+    const auto* site = find_site(sites, agent->config().site_id);
+    ASSERT_NE(site, nullptr);
+    EXPECT_EQ(site->epochs_merged, agent->stats().epochs_sealed);
+    EXPECT_EQ(site->last_epoch, agent->stats().epochs_sealed);
+  }
+  EXPECT_EQ(merged, serialize_sketch(reference));
+}
+
+/// A root restart while relays of origin epochs > 1 sit in the uplink
+/// spool: the reconnecting uplink books nothing against the leaf id and
+/// re-ships every spooled relay, none pruned by the Hello-ack watermark.
+TEST(FederationRelay, UplinkReconnectWithSpooledRelaysBooksNothing) {
+  const DcsParams params = small_params();
+  const std::string state_dir =
+      ::testing::TempDir() + "FederationRelay.UplinkReconnect.state";
+  std::filesystem::remove_all(state_dir);
+  CollectorConfig root_config = root_config_for(params);
+  root_config.state_dir = state_dir;
+  auto root = std::make_unique<Collector>(root_config);
+  root->start();
+  root_config.port = root->port();  // the restart listens where the leaf dials
+  LeafCollector leaf(leaf_config_for(params, root->port()));
+  leaf.start();
+
+  DistinctCountSketch reference(params);
+  RawLeafPeer sites[2];
+  for (std::uint64_t i = 0; i < 2; ++i)
+    ASSERT_TRUE(
+        sites[i].hello(leaf.collector().port(), 7 + i, params, PeerRole::kSite));
+  const auto ship = [&](std::uint64_t site, std::uint64_t epoch) {
+    const auto ack = sites[site - 7].ship(params, site, epoch);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->status, AckStatus::kOk);
+    reference.update(static_cast<Addr>(site), static_cast<Addr>(epoch * 7919),
+                     +1);
+  };
+  ship(7, 1);
+  ship(7, 2);
+  ship(8, 1);
+  ASSERT_TRUE(leaf.uplink().flush(15000));
+
+  root.reset();  // the root goes down; the next relays stay spooled
+  ship(7, 3);
+  ship(8, 2);
+  EXPECT_EQ(leaf.uplink().stats().spool_depth, 2u);
+
+  root = std::make_unique<Collector>(root_config);
+  root->start();
+  ASSERT_TRUE(leaf.uplink().flush(15000));
+  const auto uplink = leaf.uplink().stats();
+  const auto stats = root->stats();
+  const auto rows = root->site_stats();
+  const std::string merged = serialize_sketch(root->merged_sketch());
+  leaf.stop();
+  root->stop();
+
+  EXPECT_EQ(uplink.relayed, 5u);
+  EXPECT_EQ(uplink.acked + uplink.duplicates, uplink.relayed);
+  EXPECT_EQ(stats.dropped_epochs, 0u);
+  EXPECT_EQ(stats.pending_gap_epochs, 0u);
+  const auto* leaf_row = find_site(rows, 1001);
+  ASSERT_NE(leaf_row, nullptr);
+  EXPECT_EQ(leaf_row->dropped_epochs, 0u);
+  EXPECT_EQ(leaf_row->last_epoch, 0u);
+  EXPECT_EQ(find_site(rows, 7)->last_epoch, 3u);
+  EXPECT_EQ(find_site(rows, 8)->last_epoch, 2u);
+  EXPECT_EQ(merged, serialize_sketch(reference));
+  std::filesystem::remove_all(state_dir);
 }
 
 }  // namespace

@@ -705,10 +705,9 @@ void expect_shipped_blobs_match_reference(
   std::map<std::uint64_t, std::string> tapped;  // epoch -> blob
   CollectorConfig collector_cfg = collector_config();
   collector_cfg.params = params;
-  collector_cfg.delta_tap = [&](std::uint64_t, std::uint64_t epoch,
-                                std::uint64_t, std::string_view blob, bool) {
+  collector_cfg.delta_tap = [&](const SnapshotDeltaView& delta, bool) {
     std::lock_guard<std::mutex> lock(tapped_mutex);
-    tapped.emplace(epoch, std::string(blob));
+    tapped.emplace(delta.epoch, std::string(delta.sketch_blob));
     return true;
   };
   Collector collector(collector_cfg);
@@ -1843,7 +1842,7 @@ void expect_uplink_series(const obs::Snapshot& snapshot,
   const obs::Labels label{{"leaf", std::to_string(uplink.config().leaf_id)}};
   const std::pair<const char*, std::uint64_t> counters[] = {
       {"dcs_leaf_uplink_relayed_total", s.relayed},
-      {"dcs_leaf_uplink_acked_total", s.root_acks + s.root_duplicates},
+      {"dcs_leaf_uplink_acked_total", s.acked + s.duplicates},
       {"dcs_leaf_uplink_nacks_total", s.nacks},
       {"dcs_leaf_uplink_reconnects_total", s.reconnects},
   };

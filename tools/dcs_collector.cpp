@@ -503,8 +503,8 @@ int main(int argc, char** argv) {
                   "nacks=%llu shed=%llu reconnects=%llu spool=%zu "
                   "rejected=%d\n",
                   static_cast<unsigned long long>(uplink.relayed),
-                  static_cast<unsigned long long>(uplink.root_acks),
-                  static_cast<unsigned long long>(uplink.root_duplicates),
+                  static_cast<unsigned long long>(uplink.acked),
+                  static_cast<unsigned long long>(uplink.duplicates),
                   static_cast<unsigned long long>(uplink.nacks),
                   static_cast<unsigned long long>(stats.tap_shed_deltas),
                   static_cast<unsigned long long>(uplink.reconnects),
