@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "common/serialize.hpp"
 #include "net/exporter.hpp"
@@ -18,6 +19,7 @@
 #include "sketch/count_signature.hpp"
 #include "sketch/sliding_window.hpp"
 #include "sketch/distinct_count_sketch.hpp"
+#include "sketch/sketch_blob.hpp"
 #include "sketch/epoch_sketch.hpp"
 #include "sketch/sketch_hashes.hpp"
 #include "sketch/indexed_heap.hpp"
@@ -295,9 +297,10 @@ BENCHMARK(BM_SketchMerge)
     ->Args({3, 1024})
     ->Args({5, 256});
 
-void BM_TrackingMergeRebuild(benchmark::State& state) {
-  // What the collector actually pays per shipped epoch: merge the delta
-  // into the tracking sketch *and* rebuild the singleton maps and heaps.
+void BM_TrackingMerge(benchmark::State& state) {
+  // A dense delta merged into the tracking sketch: every bucket whose delta
+  // signature is nonzero is classified, added to and classified again, and
+  // the class changes update the singleton maps and heaps.
   DcsParams params = bench_params(static_cast<std::uint32_t>(state.range(1)));
   params.num_tables = static_cast<int>(state.range(0));
 
@@ -312,7 +315,7 @@ void BM_TrackingMergeRebuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TrackingMergeRebuild)->Args({3, 64})->Args({3, 256});
+BENCHMARK(BM_TrackingMerge)->Args({3, 64})->Args({3, 256});
 
 void BM_Crc32(benchmark::State& state) {
   // The checksum every frame, blob footer and journal record runs: 4 MiB,
@@ -498,6 +501,55 @@ void BM_EpochSeal(benchmark::State& state) {
   state.counters["blob_bytes"] = static_cast<double>(blob_bytes);
 }
 BENCHMARK(BM_EpochSeal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The 6.1 epoch stream as bench/e2e's paper_bulk ships it: epoch `e` is
+/// the 131072-update pool with every source salted by a bijection, so
+/// epochs share destinations and not pairs.
+std::vector<FlowUpdate> salted_epoch(const std::vector<FlowUpdate>& pool,
+                                     int e) {
+  std::vector<FlowUpdate> epoch = pool;
+  const auto salt = static_cast<std::uint32_t>(
+      mix64(0x5a17ULL + static_cast<std::uint64_t>(e)));
+  for (FlowUpdate& u : epoch) u.source = bijective32(u.source ^ salt);
+  return epoch;
+}
+
+void BM_TrackingMergeBlob(benchmark::State& state) {
+  // What a collector pays under its state lock per shipped epoch on
+  // paper_bulk: one 6.1 epoch blob (~330 KB), parsed untimed, merged into a
+  // root that already holds 400 such epochs (default parameters).
+  // Iterations cycle through 16 blobs the root did not hold; the root's
+  // allocated levels are the levels counter.
+  constexpr int kHeld = 400;
+  constexpr int kFresh = 16;
+  const DcsParams params;
+  static const auto [held, blobs] = [&] {
+    const std::vector<FlowUpdate> pool = paper_epochs(1).front();
+    DistinctCountSketch root(params);
+    for (int e = 0; e < kHeld; ++e) root.update_batch(salted_epoch(pool, e));
+    std::vector<std::string> fresh;
+    for (int e = kHeld; e < kHeld + kFresh; ++e) {
+      DistinctCountSketch delta(params);
+      delta.update_batch(salted_epoch(pool, e));
+      BinaryWriter writer(fresh.emplace_back());
+      delta.serialize(writer);
+    }
+    return std::pair{std::move(root), std::move(fresh)};
+  }();
+  std::vector<SketchBlob> parsed;
+  for (const std::string& blob : blobs)
+    parsed.push_back(SketchBlob::parse(blob));
+  TrackingDcs root(held);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    root.merge_sketch(parsed[next]);
+    next = (next + 1) % parsed.size();
+    benchmark::DoNotOptimize(root);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["levels"] = root.sketch().allocated_levels();
+}
+BENCHMARK(BM_TrackingMergeBlob)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -194,7 +194,7 @@ QueryMetrics& QueryMetrics::get() {
           "tier is healthy"),
       Registry::global().histogram(
           "dcs_query_snapshot_load_ns",
-          "Snapshot decode + tracking-state rebuild latency, ns")};
+          "Snapshot decode + TrackingDcs construction latency, ns")};
   return instance;
 }
 

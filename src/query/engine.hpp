@@ -30,6 +30,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/snapshot.hpp"
@@ -38,13 +39,17 @@
 namespace dcs::query {
 
 /// One mapped generation: the decoded snapshot plus the rebuilt tracking
-/// state. Immutable after construction; shared by reference count.
+/// state. Immutable after construction; shared by reference count. The
+/// checkpoint's sketch is moved into `tracking`, so a generation holds one
+/// dense copy: read it as `tracking.sketch()`, never through
+/// `snapshot.checkpoint.sketch`, which is left moved-from.
 struct LoadedSnapshot {
   QuerySnapshot snapshot;
   TrackingDcs tracking;
 
   explicit LoadedSnapshot(QuerySnapshot s)
-      : snapshot(std::move(s)), tracking(snapshot.checkpoint.sketch) {}
+      : snapshot(std::move(s)),
+        tracking(std::move(snapshot.checkpoint.sketch)) {}
 };
 
 struct QueryEngineConfig {

@@ -540,7 +540,7 @@ void Collector::recover() {
           "sketch parameters");
     generation_ = loaded->generation;
     replay_from = loaded->generation;
-    merged_ = TrackingDcs(loaded->sketch);
+    merged_ = TrackingDcs(std::move(loaded->sketch));
     totals_.deltas_merged = loaded->deltas_merged;
     totals_.duplicate_deltas = loaded->duplicate_deltas;
     totals_.dropped_epochs = loaded->dropped_epochs;
@@ -756,7 +756,7 @@ void Collector::export_stats(obs::SampleWriter& out) const {
   out.gauge("dcs_collector_connected_sites", "Site agents currently connected",
             static_cast<std::int64_t>(s.connected_sites));
   out.histogram("dcs_collector_merge_latency_ns",
-                "Delta merge + tracking rebuild + detection check latency, ns",
+                "Delta merge + detection check latency, ns",
                 merge_ns_);
   out.counter("dcs_collector_shed_deltas_total",
               "Deltas NACKed kRetryLater by admission control (re-shipped by "

@@ -190,6 +190,9 @@ class DistinctCountSketch final : public TopKEstimator {
   /// The agent's epoch form folds into and reads the int64 levels directly
   /// when its int16 staging folds or spills (sketch/epoch_sketch.hpp).
   friend class EpochSketch;
+  /// The tracking merges classify each bucket a delta names, add it, and
+  /// classify it again, on the int64 levels in place (sketch/tracking_dcs.hpp).
+  friend class TrackingDcs;
 
   std::int64_t* counters_at(int level, int table, std::uint32_t bucket);
   const std::int64_t* counters_at(int level, int table,

@@ -222,6 +222,13 @@ void add_level(const BlobLevel& level, const DcsParams& params,
   }
 }
 
+void add_bucket(const char* packed, int width_bytes, const DcsParams& params,
+                std::int64_t* signature) {
+  add_counters(packed, params.signature_width(),
+               std::countr_zero(static_cast<unsigned>(width_bytes)),
+               signature);
+}
+
 LevelPacker::LevelPacker(const DcsParams& params)
     : width_(params.signature_width()), live_(bitmap_words(params)) {}
 

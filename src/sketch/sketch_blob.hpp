@@ -86,6 +86,12 @@ BlobLevel read_level(BinaryReader& reader, const DcsParams& params, int level,
 /// counters_per_level() int64 counters.
 void add_level(const BlobLevel& level, const DcsParams& params,
                std::int64_t* counters);
+/// Add one live bucket's key_bits + 1 counters, packed at `width_bytes`
+/// bytes each from `packed`, into its int64 signature: add_level for one
+/// bucket, for a merge that classifies each bucket around its add
+/// (TrackingDcs) and so walks the bitmap itself.
+void add_bucket(const char* packed, int width_bytes, const DcsParams& params,
+                std::int64_t* signature);
 
 /// Collects one level's live buckets, then writes the level.
 class LevelPacker {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/instruments.hpp"
 
@@ -17,13 +19,14 @@ TrackingDcs::TrackingDcs(DcsParams params)
                  std::vector<std::uint32_t>(
                      static_cast<std::size_t>(params.num_tables), 0)) {}
 
-TrackingDcs::TrackingDcs(const DistinctCountSketch& sketch)
-    : sketch_(sketch),
-      singletons_(static_cast<std::size_t>(sketch.params().max_level) + 1),
-      heaps_(static_cast<std::size_t>(sketch.params().max_level) + 1),
-      occupancy_(static_cast<std::size_t>(sketch.params().max_level) + 1,
+TrackingDcs::TrackingDcs(DistinctCountSketch sketch)
+    : sketch_(std::move(sketch)),
+      singletons_(static_cast<std::size_t>(sketch_.params().max_level) + 1),
+      heaps_(static_cast<std::size_t>(sketch_.params().max_level) + 1),
+      occupancy_(static_cast<std::size_t>(sketch_.params().max_level) + 1,
                  std::vector<std::uint32_t>(
-                     static_cast<std::size_t>(sketch.params().num_tables), 0)) {
+                     static_cast<std::size_t>(sketch_.params().num_tables),
+                     0)) {
   rebuild();
 }
 
@@ -38,14 +41,18 @@ void TrackingDcs::update_key(PairKey key, int delta) {
   const int level = sketch_.level_of(key);
   for (int j = 0; j < params().num_tables; ++j)
     apply_tracked(level, j, key, delta);
+  flush_tally();
 }
 
 void TrackingDcs::apply_tracked(int level, int j, PairKey key, int delta) {
   const std::uint32_t bucket = sketch_.bucket_of(j, key);
   const BucketClass before = sketch_.classify_bucket(level, j, bucket);
   sketch_.apply_to_table(level, j, key, delta);
-  const BucketClass after = sketch_.classify_bucket(level, j, bucket);
+  track(level, j, before, sketch_.classify_bucket(level, j, bucket));
+}
 
+void TrackingDcs::track(int level, int j, const BucketClass& before,
+                        const BucketClass& after) {
   const bool was_singleton = before.state == BucketState::kSingleton;
   const bool is_singleton = after.state == BucketState::kSingleton;
   if (was_singleton && (!is_singleton || after.key != before.key))
@@ -86,6 +93,7 @@ void TrackingDcs::update_batch(std::span<const FlowUpdate> updates) {
     for (std::size_t i = 0; i < block; ++i)
       for (int j = 0; j < params().num_tables; ++j)
         apply_tracked(levels[i], j, keys[i], updates[begin + i].delta);
+    flush_tally();
   }
 }
 
@@ -97,11 +105,8 @@ void TrackingDcs::singleton_gained(int level, PairKey key) {
     const Addr group = pair_group(key);
     for (int l = level; l >= 0; --l)
       heaps_[static_cast<std::size_t>(l)].add(group, +1);
-    if (obs::recording()) {
-      auto& metrics = obs::TrackingMetrics::get();
-      metrics.singletons_gained.inc();
-      metrics.heap_ops.inc(static_cast<std::uint64_t>(level) + 1);
-    }
+    ++pending_.gained;
+    pending_.heap_ops += static_cast<std::uint64_t>(level) + 1;
   }
 }
 
@@ -115,12 +120,19 @@ void TrackingDcs::singleton_lost(int level, PairKey key) {
     const Addr group = pair_group(key);
     for (int l = level; l >= 0; --l)
       heaps_[static_cast<std::size_t>(l)].add(group, -1);
-    if (obs::recording()) {
-      auto& metrics = obs::TrackingMetrics::get();
-      metrics.singletons_lost.inc();
-      metrics.heap_ops.inc(static_cast<std::uint64_t>(level) + 1);
-    }
+    ++pending_.lost;
+    pending_.heap_ops += static_cast<std::uint64_t>(level) + 1;
   }
+}
+
+void TrackingDcs::flush_tally() {
+  if (obs::recording()) {
+    auto& metrics = obs::TrackingMetrics::get();
+    metrics.singletons_gained.inc(pending_.gained);
+    metrics.singletons_lost.inc(pending_.lost);
+    metrics.heap_ops.inc(pending_.heap_ops);
+  }
+  pending_ = {};
 }
 
 std::uint64_t TrackingDcs::num_singletons(int level) const {
@@ -224,35 +236,91 @@ std::vector<TrackingDcs::SingletonMap> TrackingDcs::recompute_singletons()
 }
 
 void TrackingDcs::rebuild() {
-  singletons_ = recompute_singletons();
-  heaps_.assign(singletons_.size(), {});
-  for (int l = 0; l <= params().max_level; ++l)
-    for (int j = 0; j < params().num_tables; ++j)
-      occupancy_[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)] =
-          static_cast<std::uint32_t>(sketch_.occupied_buckets(l, j));
-  // heap(l) covers levels >= l: accumulate group frequencies top-down.
-  std::unordered_map<Addr, std::int64_t> cumulative;
-  for (int l = params().max_level; l >= 0; --l) {
-    for (const auto& [key, tables] : singletons_[static_cast<std::size_t>(l)])
-      ++cumulative[pair_group(key)];
-    auto& heap = heaps_[static_cast<std::size_t>(l)];
-    for (const auto& [group, freq] : cumulative) heap.add(group, freq);
+  for (auto& map : singletons_) map.clear();
+  heaps_.assign(heaps_.size(), {});
+  for (auto& tables : occupancy_) std::fill(tables.begin(), tables.end(), 0);
+  const std::size_t width = params().signature_width();
+  for (int l = 0; l <= params().max_level; ++l) {
+    if (!sketch_.level_allocated(l)) continue;
+    const std::int64_t* signature =
+        sketch_.levels_[static_cast<std::size_t>(l)].data();
+    for (int j = 0; j < params().num_tables; ++j) {
+      auto& occupancy =
+          occupancy_[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)];
+      for (std::uint32_t b = 0; b < params().buckets_per_table;
+           ++b, signature += width) {
+        const BucketClass cls =
+            CountSignatureView(const_cast<std::int64_t*>(signature),
+                               params().key_bits)
+                .classify();
+        if (cls.state != BucketState::kEmpty) ++occupancy;
+        if (cls.state == BucketState::kSingleton) singleton_gained(l, cls.key);
+      }
+    }
   }
+  pending_ = {};  // the counters count stream transitions, not a rebuild
 }
 
 void TrackingDcs::merge(const TrackingDcs& other) {
-  sketch_.merge(other.sketch_);
-  rebuild();
+  merge_sketch(other.sketch_);
 }
 
 void TrackingDcs::merge_sketch(const DistinctCountSketch& delta) {
-  sketch_.merge(delta);
-  rebuild();
+  if (!(params() == delta.params()))
+    throw std::invalid_argument("TrackingDcs::merge: parameter/seed mismatch");
+  const std::size_t width = params().signature_width();
+  const std::size_t buckets =
+      static_cast<std::size_t>(params().num_tables) *
+      params().buckets_per_table;
+  for (int l = 0; l <= params().max_level; ++l) {
+    const auto& from = delta.levels_[static_cast<std::size_t>(l)];
+    if (from.empty()) continue;
+    sketch_.ensure_level(l);
+    std::int64_t* counters = sketch_.levels_[static_cast<std::size_t>(l)].data();
+    for (std::size_t bucket = 0; bucket < buckets; ++bucket) {
+      const std::int64_t* add = from.data() + bucket * width;
+      if (std::all_of(add, add + width, [](std::int64_t c) { return c == 0; }))
+        continue;
+      CountSignatureView signature(counters + bucket * width,
+                                   params().key_bits);
+      const BucketClass before = signature.classify();
+      for (std::size_t k = 0; k < width; ++k)
+        counters[bucket * width + k] += add[k];
+      track(l, static_cast<int>(bucket / params().buckets_per_table), before,
+            signature.classify());
+    }
+  }
+  flush_tally();
 }
 
 void TrackingDcs::merge_sketch(const SketchBlob& delta) {
-  sketch_.merge(delta);
-  rebuild();
+  if (!(params() == delta.params()))
+    throw std::invalid_argument("TrackingDcs::merge: parameter/seed mismatch");
+  const std::size_t width = params().signature_width();
+  for (const BlobLevel& level : delta.levels()) {
+    sketch_.ensure_level(level.level);
+    std::int64_t* counters =
+        sketch_.levels_[static_cast<std::size_t>(level.level)].data();
+    const std::size_t bucket_bytes =
+        width * static_cast<std::size_t>(level.width_bytes);
+    const char* packed = level.payload.data();
+    for (std::size_t w = 0; w < level.live.size(); ++w) {
+      for (std::uint64_t bits = level.live[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t bucket =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        CountSignatureView signature(counters + bucket * width,
+                                     params().key_bits);
+        const BucketClass before = signature.classify();
+        blob::add_bucket(packed, level.width_bytes, params(),
+                         counters + bucket * width);
+        packed += bucket_bytes;
+        track(level.level,
+              static_cast<int>(bucket / params().buckets_per_table), before,
+              signature.classify());
+      }
+    }
+  }
+  flush_tally();
 }
 
 void TrackingDcs::serialize(BinaryWriter& writer) const {

@@ -17,6 +17,10 @@
 // singleton→collision, singleton→empty, collision→singleton, and
 // singleton(p)→singleton(p) — for insertions and deletions symmetrically.
 //
+// A merge runs the same diff bucket by bucket over exactly the buckets the
+// delta names, so a shipped epoch costs its live buckets, not the sketch.
+// Only construction classifies every bucket.
+//
 // TrackTopk (Fig. 7) then answers a top-k query in O(k log k): infer the
 // sampling level from the numSingletons counters and read the top k entries
 // off that level's heap.
@@ -39,8 +43,10 @@ class TrackingDcs final : public TopKEstimator {
   explicit TrackingDcs(DcsParams params = {});
 
   /// Adopt an existing basic sketch (e.g. the merge of several router-level
-  /// monitors) and build the tracking state over it.
-  explicit TrackingDcs(const DistinctCountSketch& sketch);
+  /// monitors) and build the tracking state over it. Taken by value: an
+  /// owner that is done with its sketch moves it in rather than keep a
+  /// second dense copy.
+  explicit TrackingDcs(DistinctCountSketch sketch);
 
   // --- streaming updates ---------------------------------------------------
   void update(Addr group, Addr member, int delta) override;
@@ -70,21 +76,30 @@ class TrackingDcs final : public TopKEstimator {
   std::uint64_t estimate_frequency(Addr group) const;
 
   // --- composition -----------------------------------------------------------
-  /// Merge another monitor's sketch (identical params/seed) and rebuild the
-  /// tracking state from the merged counters.
+  /// Merge another monitor's sketch (identical params/seed): merge_sketch
+  /// of its counters.
   void merge(const TrackingDcs& other);
 
   /// Merge a *basic* sketch delta (e.g. one site's per-epoch snapshot
-  /// shipped over the wire by src/service) and rebuild. By linearity the
-  /// result is identical to having ingested the delta's update stream
-  /// directly, in any order relative to other sites' deltas.
+  /// shipped over the wire by src/service). Each bucket whose delta
+  /// signature is nonzero is classified, added to and classified again,
+  /// and the two classes are diffed into the tracking state as an update
+  /// would be; no other bucket is read. Heap priorities are sums and ties
+  /// break by key, so the order of the transitions cannot change an
+  /// answer: the state is identical to TrackingDcs over the summed
+  /// counters, and by linearity to having ingested the delta's update
+  /// stream directly, in any order relative to other sites' deltas.
+  /// Throws std::invalid_argument on a parameter/seed mismatch, before
+  /// anything is added.
   void merge_sketch(const DistinctCountSketch& delta);
-  /// The same merge straight from a validated blob (SketchBlob::parse): its
-  /// live buckets are added into the counters, with no intermediate sketch.
+  /// The same merge straight from a validated blob (SketchBlob::parse):
+  /// exactly the live buckets its bitmaps name are classified, added and
+  /// classified again, with no intermediate sketch.
   void merge_sketch(const SketchBlob& delta);
 
-  /// Reconstruct singleton maps and heaps from the raw sketch counters.
-  /// Used after merge/deserialize; O(sketch size).
+  /// Reconstruct singleton maps, heaps and occupancy from the raw sketch
+  /// counters in one pass over every allocated bucket. Construction runs
+  /// it; no merge does. O(sketch size); moves no telemetry counter.
   void rebuild();
 
   void serialize(BinaryWriter& writer) const;
@@ -117,10 +132,20 @@ class TrackingDcs final : public TopKEstimator {
   /// Shared by the per-update and batched ingest paths.
   void apply_tracked(int level, int table, PairKey key, int delta);
 
+  /// Diff one bucket's class before and after a change into the singleton
+  /// maps, heaps and occupancy (Fig. 6). Every update and merge ends here.
+  void track(int level, int table, const BucketClass& before,
+             const BucketClass& after);
+
   /// `key` became a singleton in one more table of `level`'s bucket.
   void singleton_gained(int level, PairKey key);
   /// `key` stopped being a singleton in one table of `level`'s bucket.
   void singleton_lost(int level, PairKey key);
+
+  /// Push the pending transition tallies to TrackingMetrics and reset
+  /// them: once per update, batch block or merge, so no per-transition
+  /// atomic runs inside a merge.
+  void flush_tally();
 
   /// Compute what the singleton maps should be, straight from the counters.
   std::vector<SingletonMap> recompute_singletons() const;
@@ -139,6 +164,13 @@ class TrackingDcs final : public TopKEstimator {
   /// occupancy_[level][table] = non-empty buckets, maintained on
   /// empty <-> non-empty transitions.
   std::vector<std::vector<std::uint32_t>> occupancy_;
+  /// Singleton transitions and heap adjustments since the last flush.
+  struct Tally {
+    std::uint64_t gained = 0;
+    std::uint64_t lost = 0;
+    std::uint64_t heap_ops = 0;
+  };
+  Tally pending_;
 };
 
 }  // namespace dcs

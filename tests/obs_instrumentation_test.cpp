@@ -12,7 +12,9 @@
 #include "net/scenarios.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
+#include "common/serialize.hpp"
 #include "sketch/distinct_count_sketch.hpp"
+#include "sketch/sketch_blob.hpp"
 #include "sketch/tracking_dcs.hpp"
 
 namespace dcs {
@@ -91,6 +93,49 @@ TEST_F(ObsInstrumentationTest, TrackingCountsChurnAndHeapOps) {
   EXPECT_GT(m.singletons_gained.value(), gained0);
   EXPECT_GT(m.heap_ops.value(), heap0);
   EXPECT_EQ(m.query_ns.snapshot().count - queries0, 1u);
+}
+
+TEST_F(ObsInstrumentationTest, TrackingMergesCountTheirTransitions) {
+  obs::TrackingMetrics& m = obs::TrackingMetrics::get();
+  DistinctCountSketch inserts(small_params());
+  DistinctCountSketch deletes(small_params());
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    inserts.update(9 + i % 4, i, +1);
+    deletes.update(9 + i % 4, i, -1);
+  }
+  const std::uint64_t updates0 = m.updates.value();
+  const std::uint64_t gained0 = m.singletons_gained.value();
+  const std::uint64_t lost0 = m.singletons_lost.value();
+  const std::uint64_t heap0 = m.heap_ops.value();
+
+  // Construction over a sketch is no stream transition.
+  const TrackingDcs built(inserts);
+  EXPECT_EQ(m.singletons_gained.value(), gained0);
+  EXPECT_EQ(m.heap_ops.value(), heap0);
+
+  // A merge into an empty tracker gains each sampled key once, and adjusts
+  // the heaps of its level and every level below.
+  TrackingDcs merged(small_params());
+  std::string blob;
+  BinaryWriter writer(blob);
+  inserts.serialize(writer);
+  merged.merge_sketch(SketchBlob::parse(blob));
+  std::uint64_t sampled = 0;
+  std::uint64_t heap_ops = 0;
+  for (int l = 0; l <= merged.params().max_level; ++l) {
+    sampled += merged.num_singletons(l);
+    heap_ops += merged.num_singletons(l) * static_cast<std::uint64_t>(l + 1);
+  }
+  ASSERT_GT(sampled, 0u);
+  EXPECT_EQ(m.singletons_gained.value() - gained0, sampled);
+  EXPECT_EQ(m.heap_ops.value() - heap0, heap_ops);
+
+  // Deleting every pair loses each of them again; no merge is an update.
+  merged.merge_sketch(deletes);
+  EXPECT_EQ(m.singletons_lost.value() - lost0, sampled);
+  EXPECT_EQ(m.heap_ops.value() - heap0, 2 * heap_ops);
+  EXPECT_EQ(m.updates.value(), updates0);
+  EXPECT_TRUE(merged.top_k(3).entries.empty());
 }
 
 TEST_F(ObsInstrumentationTest, ExporterCountsHandshakesAndGauge) {

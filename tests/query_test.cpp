@@ -334,7 +334,7 @@ TEST(QueryLiveEquivalence, SnapshotAnswersMatchCollectorExactly) {
   ASSERT_TRUE(loaded);
 
   // Bit-for-bit: the rebuilt sketch state IS the collector's.
-  EXPECT_TRUE(loaded->snapshot.checkpoint.sketch == collector.merged_sketch());
+  EXPECT_TRUE(loaded->tracking.sketch() == collector.merged_sketch());
 
   // Top-k at the published depth and beyond it (recomputed path).
   for (const std::size_t k : {std::size_t{3}, std::size_t{5}, std::size_t{9}}) {

@@ -5,7 +5,9 @@
 //    levels (counters of every width) and net-zero levels: seal ==
 //    serialize, deserialize then serialize is the identity, and a merge
 //    from the blob equals a merge of the deserialized sketch, byte for byte
-//    and through TrackingDcs::check_invariants();
+//    and through TrackingDcs::check_invariants(). Both merges are
+//    incremental, so both are also held to a TrackingDcs constructed over
+//    the summed counters;
 //  * a seeded mutation test: truncations, bit flips with and without a
 //    recomputed CRC, a bitmap that disagrees with the payload length, bad
 //    and over-wide width codes, an all-zero live bucket, bits past r*s, a
@@ -99,6 +101,7 @@ TEST_P(SketchBlobGrid, SealSerializeDeserializeAndMergeAgree) {
   EpochSketch epoch(params);
   TrackingDcs from_blob(params);
   TrackingDcs from_sketch(params);
+  DistinctCountSketch total(params);
   for (int e = 0; e < 3; ++e) {
     const auto updates =
         make_updates(rng, key_bits, skew, 300 + 700 * static_cast<std::size_t>(e));
@@ -116,11 +119,17 @@ TEST_P(SketchBlobGrid, SealSerializeDeserializeAndMergeAgree) {
 
     from_blob.merge_sketch(SketchBlob::parse(blob));
     from_sketch.merge_sketch(decoded);
+    total.merge(reference);
     EXPECT_EQ(blob_of(from_blob.sketch()), blob_of(from_sketch.sketch()));
+    EXPECT_EQ(blob_of(from_blob.sketch()), blob_of(total));
     EXPECT_TRUE(from_blob.check_invariants());
+    EXPECT_TRUE(from_sketch.check_invariants());
   }
   EXPECT_TRUE(from_blob.check_invariants());
   EXPECT_EQ(from_blob.top_k(5).entries, from_sketch.top_k(5).entries);
+  const TrackingDcs constructed(total);
+  EXPECT_EQ(from_blob.top_k(5).entries, constructed.top_k(5).entries);
+  EXPECT_EQ(from_sketch.top_k(5).entries, constructed.top_k(5).entries);
 }
 
 INSTANTIATE_TEST_SUITE_P(
